@@ -1,7 +1,7 @@
 //! Emits `BENCH_mapping.json` — the perf-trajectory baseline of the mapping
-//! engine: instantiation (reordering) time per algorithm and metric
-//! evaluation time (streaming vs. CSR), plus the parallel/sequential
-//! multilevel-partitioner timings.
+//! engine: instantiation (reordering) time per algorithm at p = 4800 and at
+//! p = 10^6, metric evaluation time (streaming vs. CSR), plus the
+//! parallel/sequential multilevel-partitioner timings.
 //!
 //! ```text
 //! cargo run --release -p stencil-bench --bin perf_baseline -- [--quick] [--out BENCH_mapping.json]
@@ -32,8 +32,9 @@ fn main() {
     // figure-scale metric instance: p = 2^16 (1024 nodes x 64 procs)
     let metric_nodes = if quick { 64 } else { 1024 };
 
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!(
-        "perf_baseline: threads = {}, repetitions = {repetitions}",
+        "perf_baseline: threads = {}, nproc = {nproc}, repetitions = {repetitions}",
         rayon::current_num_threads()
     );
 
@@ -65,6 +66,43 @@ fn main() {
             "  instantiation {:<16} mean {:.6}s",
             t.algorithm, t.summary.mean
         );
+    }
+
+    // --- instantiation at p = 10^6 (10^4 nodes of 100) --------------------
+    // The p = 4800 timings above cannot show a mapper whose cost per rank
+    // grows with p (a 4.5 s table at p = 10^6 once measured 1 ms there), so
+    // this section carries the absolute ceilings of perf_check.  Every paper
+    // mapper applies to this instance.
+    let xl_instance = MappingProblem::new(
+        Dims::from_slice(&[1000, 1000]),
+        Stencil::nearest_neighbor(2),
+        NodeAllocation::homogeneous(10_000, 100),
+    )
+    .expect("consistent p = 10^6 instance");
+    let instantiation_xl = time_instantiations(&xl_instance, &mappers, repetitions);
+    let xl_keys = [
+        "hyperplane_median_s",
+        "kdtree_median_s",
+        "stencil_strips_median_s",
+        "nodecart_median_s",
+    ];
+    assert_eq!(
+        instantiation_xl.len(),
+        xl_keys.len(),
+        "a paper mapper was not applicable"
+    );
+    let mut instantiation_xl_json = vec![
+        ("processes", Json::Num(xl_instance.num_processes() as f64)),
+        ("nodes", Json::Num(xl_instance.num_nodes() as f64)),
+    ];
+    for (key, t) in xl_keys.into_iter().zip(&instantiation_xl) {
+        eprintln!(
+            "  instantiation p={} {:<16} median {:.6}s",
+            xl_instance.num_processes(),
+            t.algorithm,
+            t.summary.median
+        );
+        instantiation_xl_json.push((key, Json::Num(t.summary.median)));
     }
 
     // --- metric evaluation: streaming vs. CSR ------------------------------
@@ -234,6 +272,7 @@ fn main() {
     let doc = Json::obj(vec![
         ("schema", Json::str("stencilmap/perf-baseline/v1")),
         ("threads", Json::Num(rayon::current_num_threads() as f64)),
+        ("nproc", Json::Num(nproc as f64)),
         ("quick", Json::Bool(quick)),
         (
             "instantiation",
@@ -243,6 +282,7 @@ fn main() {
                 ("timings", instantiation_json),
             ]),
         ),
+        ("instantiation_xl", Json::obj(instantiation_xl_json)),
         (
             "metric_evaluation",
             Json::obj(vec![

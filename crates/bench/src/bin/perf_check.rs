@@ -1,8 +1,9 @@
 //! CI perf-regression gate: compares freshly measured perf documents against
 //! the committed baselines and fails when any gated metric regresses beyond
-//! the allowed budget.  The gated entries are defined once in
-//! [`stencil_bench::perfcheck`] (`GATED_PARTITIONER_METRICS`,
-//! `GATED_SERVE_METRICS`).
+//! the allowed budget or breaks an absolute ceiling or floor.  The gated
+//! entries are defined once in [`stencil_bench::perfcheck`]
+//! (`GATED_PARTITIONER_METRICS`, `GATED_SERVE_METRICS` and the
+//! `*_ABSOLUTE_*` lists).
 //!
 //! ```text
 //! cargo run --release -p stencil-bench --bin perf_check -- \
@@ -15,7 +16,7 @@
 //! (baseline vs current) is appended to it.
 
 use stencil_bench::arg_value;
-use stencil_bench::perfcheck::{check_partitioner, check_serve, summary_markdown, CheckOutcome};
+use stencil_bench::perfcheck::{check_mapping, check_serve, summary_markdown, CheckOutcome};
 
 /// Shape of the per-document comparison functions in
 /// [`stencil_bench::perfcheck`].
@@ -82,11 +83,11 @@ fn main() {
     };
 
     all.extend(run(
-        "partitioner",
+        "mapping",
         &baseline_path,
         &current_path,
         max_regression,
-        &check_partitioner,
+        &check_mapping,
     ));
     if let (Some(sb), Some(sc)) = (&serve_baseline_path, &serve_current_path) {
         all.extend(run("serve", sb, sc, serve_max_regression, &check_serve));

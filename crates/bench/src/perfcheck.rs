@@ -7,7 +7,8 @@
 //! are listed in one place — [`GATED_PARTITIONER_METRICS`] and
 //! [`GATED_SERVE_METRICS`] — so adding a gate is a one-line change.  The
 //! selection is deliberately narrow: sub-millisecond instantiation timings
-//! are too noisy to gate on.
+//! are too noisy to gate on relatively; the p = 10^6 instantiation timings
+//! carry absolute ceilings instead ([`MAPPER_ABSOLUTE_CEILINGS`]).
 
 /// One gated metric: where it lives in the JSON document and which direction
 /// is good.
@@ -48,12 +49,13 @@ pub const GATED_PARTITIONER_METRICS: &[GatedMetric] = &[
     },
 ];
 
-/// Scale guards for the partitioner document: these keys must agree between
-/// baseline and current, otherwise the timings are incomparable.
-pub const PARTITIONER_SCALE_GUARDS: &[(&str, &str)] = &[
+/// Scale guards for the `BENCH_mapping.json` document: these keys must agree
+/// between baseline and current, otherwise the timings are incomparable.
+pub const MAPPING_SCALE_GUARDS: &[(&str, &str)] = &[
     ("partitioner", "processes"),
     ("partitioner_large", "processes"),
     ("partitioner_xl", "processes"),
+    ("instantiation_xl", "processes"),
 ];
 
 /// Absolute wall-clock ceilings for the partitioner document, checked against
@@ -68,6 +70,19 @@ pub const PARTITIONER_SCALE_GUARDS: &[(&str, &str)] = &[
 pub const PARTITIONER_ABSOLUTE_CEILINGS: &[(&str, &str, f64)] = &[
     ("partitioner_xl", "single_core_s", 9.0),
     ("partitioner_large", "single_core_s", 1.9),
+];
+
+/// Absolute wall-clock ceilings for the p = 10^6 mapper timings of the
+/// `BENCH_mapping.json` document (median instantiation of each paper mapper
+/// on 1000 × 1000 with 10^4 nodes of 100), checked against the *current*
+/// measurement like [`PARTITIONER_ABSOLUTE_CEILINGS`].  The whole-table
+/// kernels fill such a table in a few tens of milliseconds; re-running the
+/// per-rank recursion p times took seconds.
+pub const MAPPER_ABSOLUTE_CEILINGS: &[(&str, &str, f64)] = &[
+    ("instantiation_xl", "hyperplane_median_s", 0.1),
+    ("instantiation_xl", "kdtree_median_s", 0.1),
+    ("instantiation_xl", "stencil_strips_median_s", 0.1),
+    ("instantiation_xl", "nodecart_median_s", 0.1),
 ];
 
 /// The mapping-service metrics gated in `BENCH_serve.json`: cache-hit
@@ -261,10 +276,10 @@ pub fn check_metrics(
 
 /// Compares the partitioner timings of two `BENCH_mapping.json` documents
 /// ([`GATED_PARTITIONER_METRICS`]), then applies the
-/// [`PARTITIONER_ABSOLUTE_CEILINGS`] to the current document: a ceilinged
-/// timing that is present but above its ceiling fails even when the committed
-/// baseline had already regressed.
-pub fn check_partitioner(
+/// [`PARTITIONER_ABSOLUTE_CEILINGS`] and [`MAPPER_ABSOLUTE_CEILINGS`] to the
+/// current document: a ceilinged timing that is present but above its
+/// ceiling fails even when the committed baseline had already regressed.
+pub fn check_mapping(
     baseline: &str,
     current: &str,
     max_regression: f64,
@@ -274,9 +289,12 @@ pub fn check_partitioner(
         current,
         max_regression,
         GATED_PARTITIONER_METRICS,
-        PARTITIONER_SCALE_GUARDS,
+        MAPPING_SCALE_GUARDS,
     )?;
-    for &(section, key, ceiling) in PARTITIONER_ABSOLUTE_CEILINGS {
+    for &(section, key, ceiling) in PARTITIONER_ABSOLUTE_CEILINGS
+        .iter()
+        .chain(MAPPER_ABSOLUTE_CEILINGS)
+    {
         let Some(c) = extract_number(current, section, key) else {
             continue;
         };
@@ -372,6 +390,14 @@ mod tests {
     "processes": 1000000,
     "parts": 10000,
     "single_core_s": 8.5
+  },
+  "instantiation_xl": {
+    "processes": 1000000,
+    "nodes": 10000,
+    "hyperplane_median_s": 0.021,
+    "kdtree_median_s": 0.032,
+    "stencil_strips_median_s": 0.024,
+    "nodecart_median_s": 0.028
   }
 }"#;
 
@@ -449,10 +475,12 @@ mod tests {
 
     #[test]
     fn identical_documents_pass() {
-        let outcomes = check_partitioner(DOC, DOC, 0.25).unwrap();
+        let outcomes = check_mapping(DOC, DOC, 0.25).unwrap();
         assert_eq!(
             outcomes.len(),
-            GATED_PARTITIONER_METRICS.len() + PARTITIONER_ABSOLUTE_CEILINGS.len()
+            GATED_PARTITIONER_METRICS.len()
+                + PARTITIONER_ABSOLUTE_CEILINGS.len()
+                + MAPPER_ABSOLUTE_CEILINGS.len()
         );
         assert!(outcomes.iter().all(|o| o.ok));
     }
@@ -460,22 +488,19 @@ mod tests {
     #[test]
     fn regression_beyond_tolerance_fails() {
         let slow = DOC.replace("\"parallel_s\": 0.04", "\"parallel_s\": 0.06");
-        let outcomes = check_partitioner(DOC, &slow, 0.25).unwrap();
+        let outcomes = check_mapping(DOC, &slow, 0.25).unwrap();
         let bad: Vec<_> = outcomes.iter().filter(|o| !o.ok).collect();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].label, "partitioner.parallel_s");
         assert!(bad[0].render().contains("REGRESSION"));
         // a 50% budget tolerates it
-        assert!(check_partitioner(DOC, &slow, 0.5)
-            .unwrap()
-            .iter()
-            .all(|o| o.ok));
+        assert!(check_mapping(DOC, &slow, 0.5).unwrap().iter().all(|o| o.ok));
     }
 
     #[test]
     fn improvement_passes_and_renders() {
         let fast = DOC.replace("\"sequential_s\": 0.05", "\"sequential_s\": 0.01");
-        let outcomes = check_partitioner(DOC, &fast, 0.25).unwrap();
+        let outcomes = check_mapping(DOC, &fast, 0.25).unwrap();
         assert!(outcomes.iter().all(|o| o.ok));
         assert!(outcomes.iter().any(|o| o.render().contains("ok")));
     }
@@ -483,13 +508,15 @@ mod tests {
     #[test]
     fn mismatched_process_counts_are_rejected() {
         let other = DOC.replace("\"processes\": 4800", "\"processes\": 1200");
-        assert!(check_partitioner(DOC, &other, 0.25).is_err());
+        assert!(check_mapping(DOC, &other, 0.25).is_err());
     }
 
     #[test]
     fn quick_baselines_without_large_section_still_compare() {
-        let quick = DOC.replace("single_core_s", "omitted");
-        let outcomes = check_partitioner(DOC, &quick, 0.25).unwrap();
+        let quick = DOC
+            .replace("single_core_s", "omitted")
+            .replace("_median_s", "_omitted");
+        let outcomes = check_mapping(DOC, &quick, 0.25).unwrap();
         // the two small-instance relative gates survive; the ceilings are
         // skipped because the current document carries no ceilinged timing
         assert_eq!(outcomes.len(), 2);
@@ -501,21 +528,52 @@ mod tests {
         // identical documents, but the xl timing sits above the 9 s ceiling:
         // the relative gates all pass, the ceiling still fails
         let slow = DOC.replace("\"single_core_s\": 8.5", "\"single_core_s\": 9.4");
-        let outcomes = check_partitioner(&slow, &slow, 0.25).unwrap();
+        let outcomes = check_mapping(&slow, &slow, 0.25).unwrap();
         let bad: Vec<_> = outcomes.iter().filter(|o| !o.ok).collect();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].label, "partitioner_xl.single_core_s (ceiling)");
         // the large instance has its own 1.9 s ceiling
         let slow_large = DOC.replace("\"single_core_s\": 1.8", "\"single_core_s\": 2.0");
-        let outcomes = check_partitioner(&slow_large, &slow_large, 0.25).unwrap();
+        let outcomes = check_mapping(&slow_large, &slow_large, 0.25).unwrap();
         let bad: Vec<_> = outcomes.iter().filter(|o| !o.ok).collect();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].label, "partitioner_large.single_core_s (ceiling)");
         // at the committed baseline's level the ceilings pass
-        assert!(check_partitioner(DOC, DOC, 0.25)
-            .unwrap()
-            .iter()
-            .all(|o| o.ok));
+        assert!(check_mapping(DOC, DOC, 0.25).unwrap().iter().all(|o| o.ok));
+    }
+
+    #[test]
+    fn mapper_xl_ceilings_are_absolute_and_guard_the_scale() {
+        // a 4.5 s per-rank Hyperplane at p = 10^6 fails its 0.1 s ceiling
+        // even when the baseline shows the same timing
+        let slow = DOC.replace(
+            "\"hyperplane_median_s\": 0.021",
+            "\"hyperplane_median_s\": 4.5",
+        );
+        let outcomes = check_mapping(&slow, &slow, 0.25).unwrap();
+        let bad: Vec<_> = outcomes.iter().filter(|o| !o.ok).collect();
+        assert_eq!(bad.len(), 1);
+        assert_eq!(
+            bad[0].label,
+            "instantiation_xl.hyperplane_median_s (ceiling)"
+        );
+        // every paper mapper has its own ceiling
+        for key in [
+            "kdtree_median_s",
+            "stencil_strips_median_s",
+            "nodecart_median_s",
+        ] {
+            assert!(MAPPER_ABSOLUTE_CEILINGS
+                .iter()
+                .any(|&(s, k, c)| s == "instantiation_xl" && k == key && c == 0.1));
+        }
+        // a document measured at another scale is not comparable
+        let other = DOC.replace(
+            "\"processes\": 1000000,\n    \"nodes\"",
+            "\"processes\": 4800,\n    \"nodes\"",
+        );
+        assert_ne!(other, DOC);
+        assert!(check_mapping(DOC, &other, 0.25).is_err());
     }
 
     #[test]
@@ -604,7 +662,7 @@ mod tests {
 
     #[test]
     fn summary_markdown_lists_every_outcome() {
-        let mut outcomes = check_partitioner(DOC, DOC, 0.25).unwrap();
+        let mut outcomes = check_mapping(DOC, DOC, 0.25).unwrap();
         outcomes.extend(check_serve(SERVE_DOC, SERVE_DOC, 0.25).unwrap());
         let md = summary_markdown(&outcomes);
         let lines: Vec<&str> = md.lines().collect();

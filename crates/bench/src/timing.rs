@@ -3,9 +3,10 @@
 //! The paper measures the time each algorithm needs to compute the new ranks
 //! (200 repetitions, outlier removal, mean with a 95% confidence interval).
 //! Here the same protocol is applied to the Rust implementations: the full
-//! reordering (all ranks) is computed per repetition, which corresponds to
-//! the paper's "maximum time over all processes" because the per-rank
-//! computations are embarrassingly parallel.
+//! reordering (all ranks) is computed per repetition.  The paper's figure is
+//! the "maximum time over all processes" of the per-rank computation; the
+//! whole table holds every rank's answer, so its time is the cost of
+//! answering all ranks at once.
 
 use cluster_sim::stats::Summary;
 use std::time::Instant;

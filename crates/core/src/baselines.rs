@@ -5,12 +5,11 @@
 //! and is consistently the worst mapping; *RoundRobin* (cyclic) is included
 //! as an additional adversarial baseline often produced by schedulers.
 
-use crate::problem::{MapError, Mapper, MappingProblem, RankLocalMapper};
+use crate::problem::{MapError, Mapper, MappingProblem};
 use crate::Mapping;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use stencil_grid::Coord;
 
 /// The blocked (identity) mapping: rank `r` owns grid position `r`, so node
 /// `i` owns a contiguous row-major block of `n_i` grid cells.  This is what
@@ -18,13 +17,13 @@ use stencil_grid::Coord;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Blocked;
 
-impl RankLocalMapper for Blocked {
-    fn local_name(&self) -> &str {
+impl Mapper for Blocked {
+    fn name(&self) -> &str {
         "Blocked"
     }
 
-    fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
-        problem.dims().coord_of(rank)
+    fn compute(&self, problem: &MappingProblem) -> Result<Mapping, MapError> {
+        Ok(Mapping::identity(problem))
     }
 }
 

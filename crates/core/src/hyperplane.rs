@@ -15,12 +15,14 @@
 //!
 //! The algorithm is *rank local*: every process derives its own coordinate
 //! from the grid, the stencil, the node size and its rank in
-//! `O(log N · Σ d_i)` time.
+//! `O(log N · Σ d_i)` time ([`RankLocalMapper::remap_rank`], the executable
+//! specification).  The split tree does not depend on the rank, so
+//! [`Mapper::compute`] builds the whole table with one walk over it: `O(p/n)`
+//! split searches and one write per rank, `O(p + (p/n) · Σ d_i)` in total.
 
-use crate::problem::{MapWorkspace, MappingProblem, RankLocalMapper};
+use crate::mapping::{fill_box, row_major_strides, Mapping};
+use crate::problem::{MapError, Mapper, MappingProblem, RankLocalMapper};
 use stencil_grid::Coord;
-#[cfg(test)]
-use stencil_grid::Stencil;
 
 /// How the single node-size parameter `n` is derived from a heterogeneous
 /// allocation (Section V-A: "one can use the mean, minimum or maximum of the
@@ -60,103 +62,122 @@ impl Hyperplane {
     }
 }
 
-impl RankLocalMapper for Hyperplane {
-    fn local_name(&self) -> &str {
+impl Mapper for Hyperplane {
+    fn name(&self) -> &str {
         "Hyperplane"
     }
 
-    fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
-        let mut ws = MapWorkspace::new();
-        let mut out = vec![0usize; problem.dims().ndims()];
-        self.remap_rank_into(problem, rank, &mut ws, &mut out);
-        out
+    /// Fills the whole rank → position table with one depth-first walk over
+    /// the split tree, which is the same for every rank: each internal node
+    /// runs one split search and hands the lower ranks of its block to the
+    /// first sub-grid; each leaf of at most `2n` cells writes its rank block
+    /// in the direct-placement order of [`RankLocalMapper::remap_rank`].
+    fn compute(&self, problem: &MappingProblem) -> Result<Mapping, MapError> {
+        let dims = problem.dims().as_slice();
+        let tree = SplitTree {
+            cos2: problem.stencil().cos2_sums(),
+            n: self.node_size_parameter(problem),
+            strides: row_major_strides(dims),
+        };
+        let mut positions = vec![0usize; problem.num_processes()];
+        tree.fill(&mut dims.to_vec(), 0, &mut positions);
+        Mapping::from_positions(problem, positions)
     }
+}
 
-    fn remap_rank_into(
-        &self,
-        problem: &MappingProblem,
-        rank: usize,
-        ws: &mut MapWorkspace,
-        out: &mut [usize],
-    ) {
-        let stencil = problem.stencil();
+impl RankLocalMapper for Hyperplane {
+    fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
+        let cos2 = problem.stencil().cos2_sums();
         let n = self.node_size_parameter(problem);
-        // rank-independent: computed once per workspace (one workspace serves
-        // exactly one problem, see MapWorkspace)
-        if ws.cos2.is_empty() {
-            stencil.cos2_sums_into(&mut ws.cos2);
-        }
-        ws.sizes.clear();
-        ws.sizes.extend_from_slice(problem.dims().as_slice());
-        ws.origin.clear();
-        ws.origin.resize(ws.sizes.len(), 0);
+        let mut sizes = problem.dims().as_slice().to_vec();
+        let mut origin = vec![0usize; sizes.len()];
         let mut r = rank;
-
         loop {
-            let vol: usize = ws.sizes.iter().product();
+            let vol: usize = sizes.iter().product();
             if vol <= 2 * n {
-                cut_order_into(&ws.cos2, &ws.sizes, &mut ws.order);
-                base_case_coord_into(&ws.sizes, &ws.order, r, out);
-                for (o, l) in out.iter_mut().zip(&ws.origin) {
-                    *o += l;
+                let mut coord = base_case_coord(&sizes, &cut_order(&cos2, &sizes), r);
+                for (c, o) in coord.iter_mut().zip(&origin) {
+                    *c += o;
                 }
-                return;
+                return coord;
             }
-            let (dim, d1, _d2) = find_split_with(&ws.sizes, &ws.cos2, n, &mut ws.order)
-                .unwrap_or_else(|| fallback_split(&ws.sizes));
-            let lhs_vol = vol / ws.sizes[dim] * d1;
+            let (dim, d1, _) = split(&sizes, &cos2, n);
+            let lhs_vol = vol / sizes[dim] * d1;
             if r < lhs_vol {
-                ws.sizes[dim] = d1;
+                sizes[dim] = d1;
             } else {
                 r -= lhs_vol;
-                ws.origin[dim] += d1;
-                ws.sizes[dim] -= d1;
+                origin[dim] += d1;
+                sizes[dim] -= d1;
             }
         }
     }
 }
 
-/// Writes the dimensions sorted by cut preference into `out`: ascending cos²
-/// sum (Eq. 2), ties broken by descending dimension size, then ascending
-/// index.  The allocation-free core of `Stencil::preferred_cut_order`.
-fn cut_order_into(cos2: &[f64], sizes: &[usize], out: &mut Vec<usize>) {
-    out.clear();
-    out.extend(0..sizes.len());
-    out.sort_by(|&a, &b| {
+/// The rank-independent inputs of the split recursion, shared by every node
+/// of the whole-table walk.
+struct SplitTree {
+    cos2: Vec<f64>,
+    n: usize,
+    strides: Vec<usize>,
+}
+
+impl SplitTree {
+    /// Writes the positions of the sub-grid `sizes` whose first cell sits at
+    /// linear position `base` into its rank block `out` (one slot per cell).
+    /// `sizes` is restored before returning.
+    fn fill(&self, sizes: &mut [usize], base: usize, out: &mut [usize]) {
+        if out.len() <= 2 * self.n {
+            fill_box(
+                out,
+                base,
+                sizes,
+                &self.strides,
+                &cut_order(&self.cos2, sizes),
+            );
+            return;
+        }
+        let (dim, d1, d2) = split(sizes, &self.cos2, self.n);
+        let (lhs, rhs) = out.split_at_mut(out.len() / (d1 + d2) * d1);
+        sizes[dim] = d1;
+        self.fill(sizes, base, lhs);
+        sizes[dim] = d2;
+        self.fill(sizes, base + d1 * self.strides[dim], rhs);
+        sizes[dim] = d1 + d2;
+    }
+}
+
+/// The dimensions sorted by cut preference: ascending cos² sum (Eq. 2), ties
+/// broken by descending dimension size, then ascending index.
+fn cut_order(cos2: &[f64], sizes: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..sizes.len()).collect();
+    order.sort_by(|&a, &b| {
         cos2[a]
             .partial_cmp(&cos2[b])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| sizes[b].cmp(&sizes[a]))
             .then_with(|| a.cmp(&b))
     });
+    order
+}
+
+/// The split of one recursion step: the multiple-of-`n` split of
+/// [`find_split`], or the [`fallback_split`] when none exists.
+fn split(sizes: &[usize], cos2: &[f64], n: usize) -> (usize, usize, usize) {
+    find_split(sizes, cos2, n).unwrap_or_else(|| fallback_split(sizes))
 }
 
 /// Finds a cut dimension and hyperplane position such that both induced
-/// sub-grids have a size that is a multiple of `n`.
+/// sub-grids have a size that is a multiple of `n`, given the stencil's
+/// per-dimension cos² sums.
 ///
 /// Dimensions are tried in the preferred cut order (Eq. 2, ties towards the
 /// larger dimension); within a dimension, positions are tried from the centre
 /// outwards so the resulting sub-grids are as balanced as possible
 /// (Theorem V.2: the size ratio lies in `[1/2, 1]`).
-#[cfg(test)]
-pub(crate) fn find_split(
-    sizes: &[usize],
-    stencil: &Stencil,
-    n: usize,
-) -> Option<(usize, usize, usize)> {
-    find_split_with(sizes, &stencil.cos2_sums(), n, &mut Vec::new())
-}
-
-/// [`find_split`] with precomputed cos² sums and a reusable order buffer.
-fn find_split_with(
-    sizes: &[usize],
-    cos2: &[f64],
-    n: usize,
-    order: &mut Vec<usize>,
-) -> Option<(usize, usize, usize)> {
+fn find_split(sizes: &[usize], cos2: &[f64], n: usize) -> Option<(usize, usize, usize)> {
     let vol: usize = sizes.iter().product();
-    cut_order_into(cos2, sizes, order);
-    for &dim in order.iter() {
+    for dim in cut_order(cos2, sizes) {
         let di = sizes[dim];
         if di < 2 {
             continue;
@@ -193,28 +214,18 @@ fn fallback_split(sizes: &[usize]) -> (usize, usize, usize) {
 }
 
 /// Direct placement inside a sub-grid of at most `2n` cells: the `r`-th cell
-/// of a traversal in which the preferred cut dimensions vary slowest (and the
-/// dimensions most parallel to the stencil vary fastest), so that the cells
-/// of one node stay as coherent as possible.
-#[cfg(test)]
-pub(crate) fn base_case_coord(sizes: &[usize], stencil: &Stencil, r: usize) -> Coord {
-    let mut order = Vec::new();
-    cut_order_into(&stencil.cos2_sums(), sizes, &mut order);
+/// of a traversal in which the preferred cut dimensions (`order`) vary
+/// slowest and the dimensions most parallel to the stencil vary fastest, so
+/// that the cells of one node stay as coherent as possible.
+fn base_case_coord(sizes: &[usize], order: &[usize], r: usize) -> Coord {
     let mut coord = vec![0usize; sizes.len()];
-    base_case_coord_into(sizes, &order, r, &mut coord);
-    coord
-}
-
-/// Allocation-free core of [`base_case_coord`]: decodes `r` under the given
-/// cut order into `out`.
-fn base_case_coord_into(sizes: &[usize], order: &[usize], r: usize, out: &mut [usize]) {
     let mut rem = r;
-    out.fill(0);
     for &dim in order.iter().rev() {
-        out[dim] = rem % sizes[dim];
+        coord[dim] = rem % sizes[dim];
         rem /= sizes[dim];
     }
     debug_assert_eq!(rem, 0, "rank exceeds sub-grid volume");
+    coord
 }
 
 #[cfg(test)]
@@ -240,7 +251,7 @@ mod tests {
         // 5 x 4 grid, nearest neighbor, n = 4: the first split cuts the
         // dimension of size 5 into 2 + 3 (Fig. 4a).
         let s = Stencil::nearest_neighbor(2);
-        let split = find_split(&[5, 4], &s, 4).unwrap();
+        let split = find_split(&[5, 4], &s.cos2_sums(), 4).unwrap();
         assert_eq!(split.0, 0);
         assert_eq!((split.1.min(split.2), split.1.max(split.2)), (2, 3));
     }
@@ -249,7 +260,7 @@ mod tests {
     fn component_stencil_prefers_orthogonal_cut() {
         // Communication along dim 0 only -> cut dimension 1 first.
         let s = Stencil::component(2);
-        let split = find_split(&[6, 6], &s, 6).unwrap();
+        let split = find_split(&[6, 6], &s.cos2_sums(), 6).unwrap();
         assert_eq!(split.0, 1);
     }
 
@@ -367,7 +378,8 @@ mod tests {
         ] {
             let vol: usize = sizes.iter().product();
             assert_eq!(vol % n, 0);
-            let (dim, d1, d2) = find_split(&sizes, &s, n).expect("split exists (Thm V.1)");
+            let (dim, d1, d2) =
+                find_split(&sizes, &s.cos2_sums(), n).expect("split exists (Thm V.1)");
             let rest = vol / sizes[dim];
             let (a, b) = ((d1 * rest) as f64, (d2 * rest) as f64);
             let ratio = a.min(b) / a.max(b);
@@ -410,11 +422,11 @@ mod tests {
             d0 in 1usize..5, d1 in 1usize..5, d2 in 1usize..4,
         ) {
             let sizes = vec![d0, d1, d2];
-            let s = Stencil::nearest_neighbor(3);
+            let order = cut_order(&Stencil::nearest_neighbor(3).cos2_sums(), &sizes);
             let vol = d0 * d1 * d2;
             let mut seen = std::collections::HashSet::new();
             for r in 0..vol {
-                let c = base_case_coord(&sizes, &s, r);
+                let c = base_case_coord(&sizes, &order, r);
                 prop_assert!(c[0] < d0 && c[1] < d1 && c[2] < d2);
                 prop_assert!(seen.insert(c));
             }

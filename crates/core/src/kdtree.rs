@@ -12,59 +12,86 @@
 //!
 //! Per-rank complexity: `O(d log p)` (the paper reports `O(log p log d)` with
 //! a priority queue; the evaluation uses the linear scan implemented here).
+//! [`RankLocalMapper::remap_rank`] is the executable specification;
+//! [`Mapper::compute`] builds the whole table with one walk over the halving
+//! tree, which is the same for every rank, in `O(p · d)`.
 
-use crate::problem::{MapWorkspace, MappingProblem, RankLocalMapper};
+use crate::mapping::{row_major_strides, Mapping};
+use crate::problem::{MapError, Mapper, MappingProblem, RankLocalMapper};
 use stencil_grid::Coord;
 
 /// The k-d Tree mapping algorithm.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KdTree;
 
-impl RankLocalMapper for KdTree {
-    fn local_name(&self) -> &str {
+impl Mapper for KdTree {
+    fn name(&self) -> &str {
         "k-d Tree"
     }
 
-    fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
-        let mut ws = MapWorkspace::new();
-        let mut out = vec![0usize; problem.dims().ndims()];
-        self.remap_rank_into(problem, rank, &mut ws, &mut out);
-        out
+    /// Fills the whole rank → position table with one depth-first walk over
+    /// the halving tree, which is the same for every rank: the lower half of
+    /// each rank block goes to the lower half of its sub-grid.
+    fn compute(&self, problem: &MappingProblem) -> Result<Mapping, MapError> {
+        let dims = problem.dims().as_slice();
+        let comm = problem.stencil().comm_across();
+        let strides = row_major_strides(dims);
+        let mut positions = vec![0usize; problem.num_processes()];
+        fill(&mut dims.to_vec(), &comm, &strides, 0, &mut positions);
+        Mapping::from_positions(problem, positions)
     }
+}
 
-    fn remap_rank_into(
-        &self,
-        problem: &MappingProblem,
-        rank: usize,
-        ws: &mut MapWorkspace,
-        out: &mut [usize],
-    ) {
-        // rank-independent: computed once per workspace (one workspace serves
-        // exactly one problem, see MapWorkspace)
-        if ws.comm.is_empty() {
-            problem.stencil().comm_across_into(&mut ws.comm);
-        }
-        ws.sizes.clear();
-        ws.sizes.extend_from_slice(problem.dims().as_slice());
-        out.fill(0);
+impl RankLocalMapper for KdTree {
+    fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
+        let comm = problem.stencil().comm_across();
+        let mut sizes = problem.dims().as_slice().to_vec();
+        let mut coord = vec![0usize; sizes.len()];
         let mut r = rank;
-
         loop {
-            let vol: usize = ws.sizes.iter().product();
+            let vol: usize = sizes.iter().product();
             if vol == 1 {
                 debug_assert_eq!(r, 0);
-                return;
+                return coord;
             }
-            let dim = split_dimension(&ws.sizes, &ws.comm);
-            let left = ws.sizes[dim] / 2;
-            let left_vol = vol / ws.sizes[dim] * left;
+            let dim = split_dimension(&sizes, &comm);
+            let left = sizes[dim] / 2;
+            let left_vol = vol / sizes[dim] * left;
             if r < left_vol {
-                ws.sizes[dim] = left;
+                sizes[dim] = left;
             } else {
                 r -= left_vol;
-                out[dim] += left;
-                ws.sizes[dim] -= left;
+                coord[dim] += left;
+                sizes[dim] -= left;
             }
+        }
+    }
+}
+
+/// Writes the positions of the sub-grid `sizes` whose first cell sits at
+/// linear position `base` into its rank block `out` (one slot per cell).
+/// `sizes` is restored before returning.
+fn fill(sizes: &mut [usize], comm: &[usize], strides: &[usize], base: usize, out: &mut [usize]) {
+    let mut extended = (0..sizes.len()).filter(|&i| sizes[i] > 1);
+    match (extended.next(), extended.next()) {
+        (None, _) => out[0] = base,
+        // Halving a one-dimensional run down to single cells keeps its
+        // cells in order.
+        (Some(dim), None) => {
+            for (j, slot) in out.iter_mut().enumerate() {
+                *slot = base + j * strides[dim];
+            }
+        }
+        _ => {
+            let dim = split_dimension(sizes, comm);
+            let di = sizes[dim];
+            let left = di / 2;
+            let (lhs, rhs) = out.split_at_mut(out.len() / di * left);
+            sizes[dim] = left;
+            fill(sizes, comm, strides, base, lhs);
+            sizes[dim] = di - left;
+            fill(sizes, comm, strides, base + left * strides[dim], rhs);
+            sizes[dim] = di;
         }
     }
 }

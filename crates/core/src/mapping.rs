@@ -66,24 +66,28 @@ impl Mapping {
             )));
         }
         let mut rank_of_position = vec![usize::MAX; p];
-        for (r, &x) in position_of_rank.iter().enumerate() {
-            if x >= p {
-                return Err(MapError::InvalidResult(format!(
-                    "rank {r} was assigned out-of-range position {x}"
-                )));
+        let mut node_of_position = vec![0usize; p];
+        // Node `i` owns the contiguous rank block `ranks_of_node(i)` and the
+        // blocks tile `0..p` in order, so this visits every rank once, in
+        // ascending order.
+        for node in 0..alloc.num_nodes() {
+            for r in alloc.ranks_of_node(node) {
+                let x = position_of_rank[r];
+                if x >= p {
+                    return Err(MapError::InvalidResult(format!(
+                        "rank {r} was assigned out-of-range position {x}"
+                    )));
+                }
+                if rank_of_position[x] != usize::MAX {
+                    return Err(MapError::InvalidResult(format!(
+                        "position {x} assigned to both rank {} and rank {r}",
+                        rank_of_position[x]
+                    )));
+                }
+                rank_of_position[x] = r;
+                node_of_position[x] = node;
             }
-            if rank_of_position[x] != usize::MAX {
-                return Err(MapError::InvalidResult(format!(
-                    "position {x} assigned to both rank {} and rank {r}",
-                    rank_of_position[x]
-                )));
-            }
-            rank_of_position[x] = r;
         }
-        let node_of_position: Vec<usize> = rank_of_position
-            .iter()
-            .map(|&r| alloc.node_of_rank(r))
-            .collect();
         Ok(Mapping {
             dims,
             num_nodes: alloc.num_nodes(),
@@ -235,6 +239,61 @@ impl Mapping {
             counts[nd] += 1;
         }
         counts
+    }
+}
+
+/// Row-major strides of a grid: the linear position of coordinate `c` is
+/// `Σ c_i · strides[i]`.
+pub(crate) fn row_major_strides(sizes: &[usize]) -> Vec<usize> {
+    let mut strides = vec![1usize; sizes.len()];
+    for i in (1..sizes.len()).rev() {
+        strides[i - 1] = strides[i] * sizes[i];
+    }
+    strides
+}
+
+/// Writes the linear grid positions of a box into `out`, one per rank of a
+/// contiguous rank block: the box starts at linear position `base` and spans
+/// `sizes[dim]` cells along every dimension listed in `order`; it is
+/// traversed with `order[0]` varying slowest and the last entry of `order`
+/// fastest.  Dimensions missing from `order` are not traversed (extent one).
+///
+/// This is the inner loop of the whole-table mapper kernels: the fastest
+/// dimension is written as one strided run per row, and an odometer over the
+/// remaining dimensions steps from row to row without allocating.
+pub(crate) fn fill_box(
+    out: &mut [usize],
+    base: usize,
+    sizes: &[usize],
+    strides: &[usize],
+    order: &[usize],
+) {
+    let Some((&fast, slow)) = order.split_last() else {
+        out[0] = base;
+        return;
+    };
+    debug_assert_eq!(
+        out.len(),
+        order.iter().map(|&i| sizes[i]).product::<usize>(),
+        "rank block does not match the box volume"
+    );
+    let (run, step) = (sizes[fast], strides[fast]);
+    let mut row = base;
+    for (r, chunk) in out.chunks_exact_mut(run).enumerate() {
+        for (j, slot) in chunk.iter_mut().enumerate() {
+            *slot = row + j * step;
+        }
+        // Step to row r + 1: a dimension wraps back to its start when the
+        // row count of all faster dimensions divides r + 1.
+        let mut span = 1;
+        for &dim in slow.iter().rev() {
+            span *= sizes[dim];
+            row += strides[dim];
+            if !(r + 1).is_multiple_of(span) {
+                break;
+            }
+            row -= sizes[dim] * strides[dim];
+        }
     }
 }
 

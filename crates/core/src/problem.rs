@@ -1,7 +1,6 @@
 //! The mapping problem definition and the mapper traits.
 
 use crate::mapping::Mapping;
-use rayon::prelude::*;
 use stencil_grid::{Coord, Dims, GridError, NodeAllocation, Stencil};
 
 /// Errors returned by mapping algorithms.
@@ -118,121 +117,20 @@ pub trait Mapper: Send + Sync {
     fn compute(&self, problem: &MappingProblem) -> Result<Mapping, MapError>;
 }
 
-/// Per-worker scratch reused across the ranks of one chunk of a parallel
-/// mapping computation.
-///
-/// Rank-local mappers need a few small per-rank buffers (current sub-grid
-/// sizes, origins, cut orders) plus per-problem precomputations (the stencil
-/// strip layout, communication counts).  Allocating them per rank dominated
-/// the mapping hot loop in the seed implementation; a `MapWorkspace` owns
-/// them instead, so computing a full mapping performs no per-rank heap
-/// allocation.  Every worker chunk creates one workspace and reuses it for
-/// all of its ranks.
-///
-/// A workspace serves **exactly one** `(mapper, problem)` pair: the cached
-/// per-problem precomputations (strip layout, cos² sums, communication
-/// counts) are keyed by nothing and would silently go stale if the same
-/// workspace were reused for a different problem.  Create a fresh workspace
-/// per computation, as the blanket [`Mapper`] implementation does.
-#[derive(Debug, Default)]
-pub struct MapWorkspace {
-    /// Current sub-grid sizes during recursive descent.
-    pub(crate) sizes: Vec<usize>,
-    /// Origin offset of the current sub-grid.
-    pub(crate) origin: Vec<usize>,
-    /// Per-dimension stencil communication counts (k-d tree).
-    pub(crate) comm: Vec<usize>,
-    /// Per-dimension cos² sums of the stencil (hyperplane), cached per
-    /// workspace because they do not depend on the rank.
-    pub(crate) cos2: Vec<f64>,
-    /// Preferred cut order scratch.
-    pub(crate) order: Vec<usize>,
-    /// Strip indices scratch (stencil strips).
-    pub(crate) indices: Vec<usize>,
-    /// Cached strip layout (stencil strips), valid for the current problem.
-    pub(crate) strips: Option<crate::stencil_strips::StripLayout>,
-}
-
-impl MapWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        MapWorkspace::default()
-    }
-}
-
 /// A mapper whose result can be computed *per rank*, independently of all
 /// other ranks — the "fully distributed" property the paper requires of its
 /// algorithms (Section V): every process derives its own new coordinate from
-/// the grid, the stencil and its rank alone.
-pub trait RankLocalMapper: Send + Sync {
-    /// Human-readable algorithm name.
-    fn local_name(&self) -> &str;
-
+/// the grid, the stencil and its rank alone, which is what it would run
+/// inside `MPI_Cart_create`.
+///
+/// [`RankLocalMapper::remap_rank`] is the executable specification of the
+/// algorithm.  The [`Mapper::compute`] of an implementor builds the whole
+/// table in one pass over the rank-independent split recursion instead of
+/// running the per-rank walk `p` times, and must agree with `remap_rank` for
+/// every rank, bit for bit.
+pub trait RankLocalMapper: Mapper {
     /// Computes the new grid coordinate of `rank`.
     fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord;
-
-    /// Allocation-free variant of [`RankLocalMapper::remap_rank`]: writes the
-    /// coordinate of `rank` into `out` (length `ndims`), reusing the scratch
-    /// buffers of `ws`.  The default implementation delegates to
-    /// `remap_rank`; the paper's algorithms override it so the parallel
-    /// full-mapping computation performs no per-rank allocation.
-    ///
-    /// `ws` must not be reused across different problems or mappers — cached
-    /// per-problem state (e.g. the strip layout) is not validated against
-    /// the arguments.  See [`MapWorkspace`].
-    fn remap_rank_into(
-        &self,
-        problem: &MappingProblem,
-        rank: usize,
-        ws: &mut MapWorkspace,
-        out: &mut [usize],
-    ) {
-        let _ = ws;
-        out.copy_from_slice(&self.remap_rank(problem, rank));
-    }
-}
-
-/// Every rank-local mapper is a full mapper: the complete mapping is obtained
-/// by evaluating the rank-local computation for every rank (in parallel,
-/// mirroring the fact that on a real machine every process runs the
-/// computation concurrently).
-///
-/// The rank range is split into contiguous chunks; each chunk owns one
-/// [`MapWorkspace`] and writes grid positions straight into its slice of the
-/// position table, so the full mapping is computed without per-rank
-/// allocation.  Results are identical for every thread count.
-impl<T: RankLocalMapper> Mapper for T {
-    fn name(&self) -> &str {
-        self.local_name()
-    }
-
-    fn compute(&self, problem: &MappingProblem) -> Result<Mapping, MapError> {
-        let p = problem.num_processes();
-        let d = problem.dims().ndims();
-        let chunk_size = (p / (rayon::current_num_threads() * 4).max(1))
-            .clamp(256, 1 << 16)
-            .min(p.max(1));
-        let mut positions = vec![0usize; p];
-        positions
-            .par_chunks_mut(chunk_size)
-            .enumerate()
-            .for_each(|(chunk_index, chunk)| {
-                let mut ws = MapWorkspace::new();
-                let mut coord = vec![0usize; d];
-                let base = chunk_index * chunk_size;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    self.remap_rank_into(problem, base + i, &mut ws, &mut coord);
-                    // usize::MAX marks an out-of-grid coordinate; it is
-                    // rejected by the permutation validation below.
-                    *slot = if problem.dims().contains(&coord) {
-                        problem.dims().rank_of(&coord)
-                    } else {
-                        usize::MAX
-                    };
-                }
-            });
-        Mapping::from_positions(problem, positions)
-    }
 }
 
 #[cfg(test)]
@@ -300,26 +198,5 @@ mod tests {
         assert!(e.to_string().contains("invalid result"));
         let e: MapError = stencil_grid::GridError::EmptyDims.into();
         assert!(e.to_string().contains("invalid mapping problem"));
-    }
-
-    /// A trivial rank-local mapper used to exercise the blanket impl.
-    struct Identity;
-    impl RankLocalMapper for Identity {
-        fn local_name(&self) -> &str {
-            "Identity"
-        }
-        fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
-            problem.dims().coord_of(rank)
-        }
-    }
-
-    #[test]
-    fn blanket_impl_builds_full_mapping() {
-        let p = small_problem();
-        let m = Identity.compute(&p).unwrap();
-        assert_eq!(Mapper::name(&Identity), "Identity");
-        for r in 0..p.num_processes() {
-            assert_eq!(m.position_of_rank(r), r);
-        }
     }
 }

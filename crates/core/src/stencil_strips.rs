@@ -10,11 +10,15 @@
 //! boustrophedon order, Fig. 5) so that the processes of one node always form
 //! a coherent block even when nodes straddle strip boundaries.
 //!
-//! The per-rank computation needs the strip geometry (`O(k·d)` for the
-//! distortion factors) plus a walk over the strips to locate the rank's
-//! strip; the number of strips is small (`O(p / n)` at most).
+//! The per-rank computation ([`RankLocalMapper::remap_rank`], the executable
+//! specification) needs the strip geometry (`O(k·d)` for the distortion
+//! factors) plus a walk over the strips to locate the rank's strip; the
+//! number of strips `S` is small (`O(p / n)` at most).  [`Mapper::compute`]
+//! builds the whole table with a single walk over the strips in serpentine
+//! order, `O(k·d + p + S·d)` in total.
 
-use crate::problem::{MapWorkspace, MappingProblem, RankLocalMapper};
+use crate::mapping::{fill_box, row_major_strides, Mapping};
+use crate::problem::{MapError, Mapper, MappingProblem, RankLocalMapper};
 use stencil_grid::{Coord, Stencil};
 
 /// The Stencil Strips mapping algorithm.
@@ -171,56 +175,76 @@ impl StripLayout {
     }
 }
 
-impl RankLocalMapper for StencilStrips {
-    fn local_name(&self) -> &str {
+impl Mapper for StencilStrips {
+    fn name(&self) -> &str {
         "Stencil Strips"
     }
 
+    /// Fills the whole rank → position table with one walk over the strips
+    /// in serpentine order: each strip takes the next rank block, slab by
+    /// slab along the strip, in the order of [`RankLocalMapper::remap_rank`].
+    fn compute(&self, problem: &MappingProblem) -> Result<Mapping, MapError> {
+        let dims = problem.dims().as_slice();
+        let layout = StripLayout::new(dims, problem.stencil(), problem.node_size_parameter());
+        let along = layout.along;
+        let len_along = dims[along];
+        let strides = row_major_strides(dims);
+        // the cross-section is traversed row-major over the other dimensions
+        let cross_order: Vec<usize> = (0..dims.len()).filter(|&i| i != along).collect();
+        // first coordinate of every strip, per dimension
+        let starts: Vec<Vec<usize>> = layout
+            .widths
+            .iter()
+            .map(|w| {
+                let mut acc = 0;
+                w.iter()
+                    .map(|&x| {
+                        acc += x;
+                        acc - x
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let mut positions = vec![0usize; problem.num_processes()];
+        let mut next = 0;
+        let mut indices = Vec::new();
+        let mut box_sizes = dims.to_vec();
+        for t in 0..layout.num_strips() {
+            layout.strip_indices_into(t, &mut indices);
+            let mut corner = 0;
+            for &i in &cross_order {
+                box_sizes[i] = layout.widths[i][indices[i]];
+                corner += starts[i][indices[i]] * strides[i];
+            }
+            let area = layout.strip_area(&indices);
+            let strip = &mut positions[next..next + area * len_along];
+            next += strip.len();
+            for (slab, block) in strip.chunks_exact_mut(area).enumerate() {
+                // odd strips run backwards along the strip (Fig. 5)
+                let pos_along = if t.is_multiple_of(2) {
+                    slab
+                } else {
+                    len_along - 1 - slab
+                };
+                let base = corner + pos_along * strides[along];
+                fill_box(block, base, &box_sizes, &strides, &cross_order);
+            }
+        }
+        Mapping::from_positions(problem, positions)
+    }
+}
+
+impl RankLocalMapper for StencilStrips {
     fn remap_rank(&self, problem: &MappingProblem, rank: usize) -> Coord {
         let dims = problem.dims().as_slice();
         let layout = StripLayout::new(dims, problem.stencil(), problem.node_size_parameter());
         rank_to_coord(dims, &layout, rank)
     }
-
-    fn remap_rank_into(
-        &self,
-        problem: &MappingProblem,
-        rank: usize,
-        ws: &mut MapWorkspace,
-        out: &mut [usize],
-    ) {
-        let dims = problem.dims().as_slice();
-        // The strip geometry only depends on the problem, not the rank; a
-        // workspace serves exactly one problem, so compute it once and reuse
-        // it for every rank of the chunk.
-        if ws.strips.is_none() {
-            ws.strips = Some(StripLayout::new(
-                dims,
-                problem.stencil(),
-                problem.node_size_parameter(),
-            ));
-        }
-        let layout = ws.strips.as_ref().expect("layout cached above");
-        rank_to_coord_into(dims, layout, rank, &mut ws.indices, out);
-    }
 }
 
 /// Computes the coordinate of `rank` under a strip layout.
-pub(crate) fn rank_to_coord(dims: &[usize], layout: &StripLayout, rank: usize) -> Coord {
-    let mut coord = vec![0usize; dims.len()];
-    rank_to_coord_into(dims, layout, rank, &mut Vec::new(), &mut coord);
-    coord
-}
-
-/// Allocation-free core of [`rank_to_coord`]: decodes `rank` into `out`,
-/// using `indices` as the reused strip-index buffer.
-pub(crate) fn rank_to_coord_into(
-    dims: &[usize],
-    layout: &StripLayout,
-    rank: usize,
-    indices: &mut Vec<usize>,
-    out: &mut [usize],
-) {
+fn rank_to_coord(dims: &[usize], layout: &StripLayout, rank: usize) -> Coord {
     let along = layout.along;
     let len_along = dims[along];
     let num_strips = layout.num_strips();
@@ -228,8 +252,9 @@ pub(crate) fn rank_to_coord_into(
     // Locate the strip containing `rank` by walking the serpentine order.
     let mut acc = 0usize;
     let mut strip_t = 0usize;
-    layout.strip_indices_into(0, indices);
-    let mut area = layout.strip_area(indices);
+    let mut indices = Vec::new();
+    layout.strip_indices_into(0, &mut indices);
+    let mut area = layout.strip_area(&indices);
     loop {
         let volume = area * len_along;
         if rank < acc + volume || strip_t + 1 == num_strips {
@@ -237,8 +262,8 @@ pub(crate) fn rank_to_coord_into(
         }
         acc += volume;
         strip_t += 1;
-        layout.strip_indices_into(strip_t, indices);
-        area = layout.strip_area(indices);
+        layout.strip_indices_into(strip_t, &mut indices);
+        area = layout.strip_area(&indices);
     }
     let local = rank - acc;
 
@@ -255,16 +280,17 @@ pub(crate) fn rank_to_coord_into(
     };
 
     // Decode the cross-section index (row-major over the non-`along` dims).
-    out.fill(0);
-    out[along] = pos_along;
+    let mut coord = vec![0usize; dims.len()];
+    coord[along] = pos_along;
     for i in (0..dims.len()).rev() {
         if i == along {
             continue;
         }
         let w = layout.widths[i][indices[i]];
-        out[i] = layout.strip_offset(i, indices[i]) + cross % w;
+        coord[i] = layout.strip_offset(i, indices[i]) + cross % w;
         cross /= w;
     }
+    coord
 }
 
 /// The distortion factors `α_i = e_i / ᵈᵇ√V_b` of Section V-C, where `e_i`

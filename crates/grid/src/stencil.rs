@@ -188,47 +188,31 @@ impl Stencil {
     /// (the dimension is "orthogonal" to the stencil) which makes `j` a good
     /// candidate for a hyperplane cut.
     pub fn cos2_sums(&self) -> Vec<f64> {
-        let mut sums = Vec::new();
-        self.cos2_sums_into(&mut sums);
-        sums
-    }
-
-    /// Allocation-free variant of [`Stencil::cos2_sums`]: clears `out` and
-    /// fills it with the per-dimension sums, reusing its capacity.
-    pub fn cos2_sums_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(self.ndims, 0.0);
+        let mut sums = vec![0.0; self.ndims];
         for o in &self.offsets {
             let norm2: f64 = o.iter().map(|&x| (x * x) as f64).sum();
             if norm2 == 0.0 {
                 continue;
             }
             for j in 0..self.ndims {
-                out[j] += (o[j] * o[j]) as f64 / norm2;
+                sums[j] += (o[j] * o[j]) as f64 / norm2;
             }
         }
+        sums
     }
 
     /// The amount of communication across each dimension `j` used by the k-d
     /// tree algorithm: `f_j = |{R ∈ S : R_j ≠ 0}|`.
     pub fn comm_across(&self) -> Vec<usize> {
-        let mut f = Vec::new();
-        self.comm_across_into(&mut f);
-        f
-    }
-
-    /// Allocation-free variant of [`Stencil::comm_across`]: clears `out` and
-    /// fills it with the per-dimension counts, reusing its capacity.
-    pub fn comm_across_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.resize(self.ndims, 0);
+        let mut f = vec![0usize; self.ndims];
         for o in &self.offsets {
             for j in 0..self.ndims {
                 if o[j] != 0 {
-                    out[j] += 1;
+                    f[j] += 1;
                 }
             }
         }
+        f
     }
 
     /// The extension `e_i = max R_i − min R_i` of the stencil along every

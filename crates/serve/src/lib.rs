@@ -10,9 +10,9 @@
 //!   order) before hitting a sharded LRU keyed by
 //!   `(dims, stencil, alloc, algorithm)`, so equivalent requests share one
 //!   entry regardless of orientation.
-//! * **Allocation-free misses** — cache misses run through the existing
-//!   parallel mapping engine (rank-local mappers via the workspace pool, the
-//!   VieM-style pipeline via the multilevel partitioner).
+//! * **Whole-table misses** — cache misses run through the mapping engine
+//!   (the paper mappers' whole-table kernels, the VieM-style pipeline via
+//!   the multilevel partitioner).
 //! * **Admission control** — every computed mapping is scored once with the
 //!   streaming evaluator; requests can carry a `max_jsum` budget and either
 //!   get rejected or transparently fall back to a specialised algorithm that

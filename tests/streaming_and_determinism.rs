@@ -3,8 +3,8 @@
 //! * the streaming metrics evaluator (no graph materialisation) agrees bit
 //!   for bit with the CSR evaluator on random grids and stencils, periodic
 //!   and non-periodic,
-//! * the chunked parallel mapping computation agrees with the rank-local
-//!   definition (`remap_rank`) for every rank,
+//! * the whole-table kernels of Hyperplane, k-d Tree and Stencil Strips
+//!   agree with their rank-local definition (`remap_rank`) for every rank,
 //! * the parallel and sequential multilevel partitioner produce identical
 //!   results for the same seed,
 //! * the parallel k-way swap refinement produces identical partitions for
@@ -12,6 +12,7 @@
 //!   via subprocesses) and with parallelism disabled outright.
 
 use proptest::prelude::*;
+use stencilmap::mapping::hyperplane::NodeSizeChoice;
 use stencilmap::partition::{partition, refine_kway_with, Graph, PartitionConfig, RefineConfig};
 use stencilmap::prelude::*;
 
@@ -104,43 +105,31 @@ proptest! {
         }
     }
 
-    /// The chunked parallel full-mapping computation matches the rank-local
-    /// definition for every rank (and is therefore independent of chunking
-    /// and thread count).
+    /// The whole-table kernels match the rank-local definition for every
+    /// rank, bit for bit: 2-D and 3-D grids with extents up to 64, all three
+    /// paper stencils, and homogeneous as well as uneven allocations (which
+    /// exercise Hyperplane's fallback split and every `NodeSizeChoice`).
     #[test]
     fn parallel_mapping_matches_rank_local_definition(
-        d0 in 2usize..10,
-        d1 in 2usize..10,
-        groups in 1usize..6,
-        alg in 0u8..3,
+        extents in proptest::collection::vec(1usize..65, 2..4),
+        stencil_choice in 0u8..3,
+        weights in proptest::collection::vec(1usize..5, 1..24),
+        uneven in proptest::bool::ANY,
     ) {
-        let p = d0 * d1;
-        if p % groups == 0 {
-            let problem = MappingProblem::new(
-                Dims::from_slice(&[d0, d1]),
-                Stencil::nearest_neighbor(2),
-                NodeAllocation::homogeneous(groups, p / groups),
-            )
-            .unwrap();
-            let mapper: Box<dyn Mapper> = match alg % 3 {
-                0 => Box::new(Hyperplane::default()),
-                1 => Box::new(KdTree),
-                _ => Box::new(StencilStrips),
-            };
-            let mapping = mapper.compute(&problem).unwrap();
-            let rank_local: Vec<usize> = (0..p)
-                .map(|r| match alg % 3 {
-                    0 => problem.dims().rank_of(&RankLocalMapper::remap_rank(
-                        &Hyperplane::default(), &problem, r)),
-                    1 => problem.dims().rank_of(&RankLocalMapper::remap_rank(&KdTree, &problem, r)),
-                    _ => problem.dims().rank_of(&RankLocalMapper::remap_rank(
-                        &StencilStrips, &problem, r)),
-                })
-                .collect();
-            prop_assert_eq!(mapping.position_of_rank_slice(), &rank_local[..]);
+        let mut sizes = extents;
+        // bound the volume so the p per-rank walks stay cheap in debug builds
+        while sizes.iter().product::<usize>() > 4096 {
+            let largest = (0..sizes.len()).max_by_key(|&i| sizes[i]).unwrap();
+            sizes[largest] /= 2;
+        }
+        let dims = Dims::new(sizes).unwrap();
+        let alloc = allocation(dims.volume(), &weights, uneven);
+        let stencil = stencil_for(dims.ndims(), stencil_choice);
+        let problem = MappingProblem::new(dims, stencil, alloc).unwrap();
+        if let Err(msg) = kernels_match_rank_local_definition(&problem) {
+            prop_assert!(false, "{}", msg);
         }
     }
-
     /// Parallel and sequential partitioner runs with the same seed produce
     /// identical assignments.
     #[test]
@@ -174,6 +163,82 @@ proptest! {
             .unwrap();
             prop_assert_eq!(par, seq);
         }
+    }
+}
+
+/// `weights.len()` (at most `p`) nodes hosting `p` processes: node sizes
+/// proportional to `weights` when `uneven`, otherwise a homogeneous
+/// allocation on the largest node count that divides `p`.
+fn allocation(p: usize, weights: &[usize], uneven: bool) -> NodeAllocation {
+    let nodes = weights.len().min(p);
+    if !uneven {
+        let nodes = (1..=nodes).rev().find(|&k| p.is_multiple_of(k)).unwrap();
+        return NodeAllocation::homogeneous(nodes, p / nodes);
+    }
+    let weights = &weights[..nodes];
+    let total: usize = weights.iter().sum();
+    let mut sizes: Vec<usize> = weights[..nodes - 1]
+        .iter()
+        .map(|&w| 1 + (p - nodes) * w / total)
+        .collect();
+    sizes.push(p - sizes.iter().sum::<usize>());
+    NodeAllocation::heterogeneous(sizes).unwrap()
+}
+
+/// The rank-local mappers under test: Hyperplane with every node-size
+/// choice, k-d Tree and Stencil Strips.
+fn rank_local_mappers() -> Vec<Box<dyn RankLocalMapper>> {
+    vec![
+        Box::new(Hyperplane::default()),
+        Box::new(Hyperplane::with_node_size(NodeSizeChoice::Min)),
+        Box::new(Hyperplane::with_node_size(NodeSizeChoice::Max)),
+        Box::new(KdTree),
+        Box::new(StencilStrips),
+    ]
+}
+
+/// Checks every mapper's whole-table `compute` against `p` calls of its
+/// per-rank `remap_rank`.
+fn kernels_match_rank_local_definition(problem: &MappingProblem) -> Result<(), String> {
+    for mapper in rank_local_mappers() {
+        let table = mapper
+            .compute(problem)
+            .map_err(|e| format!("{}: {e}", mapper.name()))?;
+        let spec: Vec<usize> = (0..problem.num_processes())
+            .map(|r| problem.dims().rank_of(&mapper.remap_rank(problem, r)))
+            .collect();
+        if table.position_of_rank_slice() != &spec[..] {
+            return Err(format!(
+                "{} on {:?} / {:?}: whole table differs from the per-rank definition",
+                mapper.name(),
+                problem.dims().as_slice(),
+                problem.alloc().sizes(),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Fixed instances at p ≈ 10^4 shaped like the benchmark's cold-miss
+/// classes (p = 10^6 with about 100 or 10^4 nodes, scaled down by 100): a
+/// 2-D nearest-neighbour grid with an odd extent, a 3-D grid on few large
+/// nodes, a 2-D hop-stencil grid and a 3-D grid on many small nodes.
+#[test]
+fn kernels_match_rank_local_definition_at_cold_miss_shapes() {
+    for (dims, nodes, stencil) in [
+        (vec![100, 101], 101, Stencil::nearest_neighbor(2)),
+        (vec![20, 25, 20], 10, Stencil::nearest_neighbor(3)),
+        (vec![100, 100], 100, Stencil::nearest_neighbor_with_hops(2)),
+        (vec![20, 25, 21], 105, Stencil::nearest_neighbor(3)),
+    ] {
+        let p: usize = dims.iter().product();
+        let problem = MappingProblem::new(
+            Dims::new(dims).unwrap(),
+            stencil,
+            NodeAllocation::homogeneous(nodes, p / nodes),
+        )
+        .unwrap();
+        kernels_match_rank_local_definition(&problem).unwrap();
     }
 }
 
@@ -215,23 +280,41 @@ fn refine_kway_sequential_flag_matches_parallel_exactly() {
     assert_eq!(g.part_weights(&par, 12), vec![192u64; 12]);
 }
 
-/// The parallel `refine_kway` yields identical partitions for
+/// FNV-1a over a sequence of integers.
+fn fnv1a(values: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        h ^= v;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+/// The parallel `refine_kway` and the whole-table kernels of Hyperplane,
+/// k-d Tree and Stencil Strips yield identical results for
 /// `RAYON_NUM_THREADS` ∈ {1, 2, 4}.  The vendored rayon reads the variable
 /// once per process, so each thread count runs in a child process (this same
 /// test re-invoked with `STENCILMAP_DETERMINISM_CHILD` set) that prints a
-/// fingerprint of the refined partition.
+/// fingerprint of the refined partition and of every kernel's table.
 #[test]
 fn refine_kway_identical_across_thread_counts() {
     const CHILD_VAR: &str = "STENCILMAP_DETERMINISM_CHILD";
     if std::env::var(CHILD_VAR).is_ok() {
         let (_, part) = refined_grid_partition(true);
-        // FNV-1a over the assignment
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &p in &part {
-            h ^= p as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
+        let mut fingerprint = format!("refine={:016x}", fnv1a(part.iter().map(|&p| p as u64)));
+        let problem = MappingProblem::new(
+            Dims::from_slice(&[120, 100]),
+            Stencil::nearest_neighbor_with_hops(2),
+            NodeAllocation::homogeneous(120, 100),
+        )
+        .unwrap();
+        let kernels: [&dyn Mapper; 3] = [&Hyperplane::default(), &KdTree, &StencilStrips];
+        for mapper in kernels {
+            let table = mapper.compute(&problem).unwrap();
+            let h = fnv1a(table.position_of_rank_slice().iter().map(|&x| x as u64));
+            fingerprint.push_str(&format!(";{}={h:016x}", mapper.name().replace(' ', "_")));
         }
-        println!("fingerprint:{h:016x}");
+        println!("fingerprint:{fingerprint}");
         return;
     }
     let exe = std::env::current_exe().expect("test executable path");
@@ -270,7 +353,7 @@ fn refine_kway_identical_across_thread_counts() {
     for (threads, fp) in &fingerprints {
         assert_eq!(
             fp, reference,
-            "RAYON_NUM_THREADS={threads} produced a different partition"
+            "RAYON_NUM_THREADS={threads} produced a different partition or table"
         );
     }
 }
