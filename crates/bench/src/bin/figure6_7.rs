@@ -9,9 +9,11 @@
 //! cargo run --release -p stencil-bench --bin figure6_7 -- --nodes 50 --json out.json
 //! ```
 
+use stencil_bench::arg_value;
 use stencil_bench::figures::{figure67, Figure67Config};
-use stencil_bench::report::json::{Json, ToJson};
 use stencil_bench::report::{ascii_bar, format_markdown_table, format_seconds};
+use stencil_bench::{Figure67Row, ScoreRow};
+use stencil_serve::json::Value;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -120,20 +122,19 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let payload = Json::obj(vec![
-            ("nodes", Json::Num(nodes as f64)),
-            ("scores", scores.to_json()),
-            ("speedups", rows.to_json()),
+        let payload = Value::obj(vec![
+            ("nodes", Value::Num(nodes as f64)),
+            (
+                "scores",
+                Value::Arr(scores.iter().map(ScoreRow::to_json).collect()),
+            ),
+            (
+                "speedups",
+                Value::Arr(rows.iter().map(Figure67Row::to_json).collect()),
+            ),
         ]);
         std::fs::write(&path, payload.pretty())
             .unwrap_or_else(|e| eprintln!("could not write {path}: {e}"));
         eprintln!("wrote {path}");
     }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

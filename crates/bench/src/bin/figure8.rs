@@ -10,16 +10,13 @@
 
 use stencil_bench::figures::{figure8, Figure8Config};
 use stencil_bench::report::format_markdown_table;
-use stencil_bench::report::json::ToJson;
+use stencil_bench::{arg_value, Figure8Row};
+use stencil_serve::json::Value;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let json_path = arg_value(&args, "--json");
 
     let cfg = if quick {
         Figure8Config::quick()
@@ -100,8 +97,11 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        std::fs::write(&path, rows.to_json().pretty())
-            .unwrap_or_else(|e| eprintln!("could not write {path}: {e}"));
+        std::fs::write(
+            &path,
+            Value::Arr(rows.iter().map(Figure8Row::to_json).collect()).pretty(),
+        )
+        .unwrap_or_else(|e| eprintln!("could not write {path}: {e}"));
         eprintln!("wrote {path}");
     }
 }

@@ -14,8 +14,9 @@
 
 use cluster_sim::Machine;
 use stencil_bench::figures::{appendix_table, TableConfig};
-use stencil_bench::report::json::ToJson;
 use stencil_bench::report::{format_markdown_table, format_seconds};
+use stencil_bench::{arg_value, TableRow};
+use stencil_serve::json::Value;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -101,15 +102,11 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        std::fs::write(&path, rows.to_json().pretty())
-            .unwrap_or_else(|e| eprintln!("could not write {path}: {e}"));
+        std::fs::write(
+            &path,
+            Value::Arr(rows.iter().map(TableRow::to_json).collect()).pretty(),
+        )
+        .unwrap_or_else(|e| eprintln!("could not write {path}: {e}"));
         eprintln!("wrote {path}");
     }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
 }

@@ -9,12 +9,19 @@
 //! selection is deliberately narrow: sub-millisecond instantiation timings
 //! are too noisy to gate on relatively; the p = 10^6 instantiation timings
 //! carry absolute ceilings instead ([`MAPPER_ABSOLUTE_CEILINGS`]).
+//!
+//! Each document is parsed once with the service's JSON codec
+//! ([`stencil_serve::json::Value`]) and every metric is looked up by
+//! `section.key` ([`metric`]).  A missing metric is an error, never a
+//! silently skipped gate.
+
+use stencil_serve::json::Value;
 
 /// One gated metric: where it lives in the JSON document and which direction
 /// is good.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatedMetric {
-    /// Top-level section holding a flat object.
+    /// Top-level section holding an object.
     pub section: &'static str,
     /// Key within the section.
     pub key: &'static str,
@@ -188,51 +195,68 @@ impl CheckOutcome {
     }
 }
 
-/// Extracts the number stored under `key` within the flat object stored under
-/// the first occurrence of `"section"` in a JSON document produced by
-/// [`crate::report::json::Json::pretty`].  Returns `None` when the section is
-/// absent, holds no object (`"partitioner_large": null` in `--quick` runs),
-/// or does not itself contain `key` — the search never leaks into later
-/// sections.
-pub fn extract_number(json: &str, section: &str, key: &str) -> Option<f64> {
-    let sec_pos = json.find(&format!("\"{section}\""))?;
-    let tail = &json[sec_pos..];
-    let colon = tail.find(':')?;
-    let value = tail[colon + 1..].trim_start();
-    // the section must hold an object; our sections are flat, so it ends at
-    // the first closing brace
-    let body = value.strip_prefix('{')?;
-    let body = &body[..body.find('}')?];
-    let key_pos = body.find(&format!("\"{key}\""))?;
-    let after_key = &body[key_pos..];
-    let colon = after_key.find(':')?;
-    let value = after_key[colon + 1..]
-        .trim_start()
-        .split([',', '\n'])
-        .next()?
-        .trim();
-    value.parse().ok()
+/// Looks up the number stored under `key` in the object stored under
+/// `section` of a parsed perf document.
+///
+/// Returns `Ok(None)` when the section holds `null` — "not measured at this
+/// scale", as `--quick` documents record `partitioner_large` — so its gates
+/// are skipped.  An absent section, a section that is not an object, a
+/// missing key or a non-number is an `Err` naming `section.key`: a gate
+/// never passes by not finding its metric.
+pub fn metric(doc: &Value, section: &str, key: &str) -> Result<Option<f64>, String> {
+    let body = match doc.get(section) {
+        None => return Err(format!("{section}.{key}: section {section:?} is missing")),
+        Some(Value::Null) => return Ok(None),
+        Some(body @ Value::Obj(_)) => body,
+        Some(other) => {
+            return Err(format!(
+                "{section}.{key}: section {section:?} is not an object ({})",
+                other.compact()
+            ))
+        }
+    };
+    match body.get(key) {
+        None => Err(format!("{section}.{key}: key {key:?} is missing")),
+        Some(value) => value
+            .as_f64()
+            .map(Some)
+            .ok_or_else(|| format!("{section}.{key}: not a number ({})", value.compact())),
+    }
 }
 
-/// Compares the gated `metrics` of two perf JSON documents.
+/// [`metric`], with the error prefixed by which document it came from.
+fn metric_in(doc: &Value, which: &str, section: &str, key: &str) -> Result<Option<f64>, String> {
+    metric(doc, section, key).map_err(|e| format!("{which} document: {e}"))
+}
+
+/// Parses a perf document, naming it in the error.
+fn parse_doc(text: &str, which: &str) -> Result<Value, String> {
+    Value::parse(text).map_err(|e| format!("{which} document is not valid JSON: {e}"))
+}
+
+/// Compares the gated `metrics` of two parsed perf documents.
 ///
 /// `max_regression` is the allowed fractional regression (0.25 = a 25%
 /// slowdown for time metrics, a 25% throughput drop for rate metrics).  The
-/// `scale_guards` keys must agree between the two documents when present in
-/// both, otherwise the comparison is meaningless and an error is returned.
-/// Metrics present in only one of the documents are skipped; it is an error
-/// when *no* gated metric is comparable.
+/// `scale_guards` keys must agree between the two documents, otherwise the
+/// comparison is meaningless and an error is returned.  A gate or guard
+/// whose section is `null` in either document is skipped (see [`metric`]);
+/// every other lookup failure is an error, and so is finding *no*
+/// comparable gated metric.
 pub fn check_metrics(
-    baseline: &str,
-    current: &str,
+    baseline: &Value,
+    current: &Value,
     max_regression: f64,
     metrics: &[GatedMetric],
     scale_guards: &[(&str, &str)],
 ) -> Result<Vec<CheckOutcome>, String> {
+    let both = |section: &str, key: &str| -> Result<Option<(f64, f64)>, String> {
+        let b = metric_in(baseline, "baseline", section, key)?;
+        let c = metric_in(current, "current", section, key)?;
+        Ok(b.zip(c))
+    };
     for &(section, key) in scale_guards {
-        let b = extract_number(baseline, section, key);
-        let c = extract_number(current, section, key);
-        if let (Some(b), Some(c)) = (b, c) {
+        if let Some((b, c)) = both(section, key)? {
             if b != c {
                 return Err(format!(
                     "{section}.{key}: baseline measured {b} but current measured {c}; \
@@ -243,10 +267,7 @@ pub fn check_metrics(
     }
     let mut outcomes = Vec::new();
     for m in metrics {
-        let (Some(b), Some(c)) = (
-            extract_number(baseline, m.section, m.key),
-            extract_number(current, m.section, m.key),
-        ) else {
+        let Some((b, c)) = both(m.section, m.key)? else {
             continue;
         };
         if b <= 0.0 {
@@ -274,69 +295,80 @@ pub fn check_metrics(
     Ok(outcomes)
 }
 
-/// Compares the partitioner timings of two `BENCH_mapping.json` documents
-/// ([`GATED_PARTITIONER_METRICS`]), then applies the
-/// [`PARTITIONER_ABSOLUTE_CEILINGS`] and [`MAPPER_ABSOLUTE_CEILINGS`] to the
-/// current document: a ceilinged timing that is present but above its
-/// ceiling fails even when the committed baseline had already regressed.
-pub fn check_mapping(
-    baseline: &str,
-    current: &str,
-    max_regression: f64,
+/// Checks each `(section, key, bound)` of `limits` against the current
+/// document: a ceiling (`higher_is_better == false`) fails above its bound,
+/// a floor below it.  Sections that are `null` are skipped.
+fn check_limits(
+    current: &Value,
+    limits: &[(&str, &str, f64)],
+    higher_is_better: bool,
 ) -> Result<Vec<CheckOutcome>, String> {
-    let mut outcomes = check_metrics(
-        baseline,
-        current,
-        max_regression,
-        GATED_PARTITIONER_METRICS,
-        MAPPING_SCALE_GUARDS,
-    )?;
-    for &(section, key, ceiling) in PARTITIONER_ABSOLUTE_CEILINGS
-        .iter()
-        .chain(MAPPER_ABSOLUTE_CEILINGS)
-    {
-        let Some(c) = extract_number(current, section, key) else {
+    let kind = if higher_is_better { "floor" } else { "ceiling" };
+    let mut outcomes = Vec::new();
+    for &(section, key, bound) in limits {
+        let Some(c) = metric_in(current, "current", section, key)? else {
             continue;
         };
         outcomes.push(CheckOutcome {
-            label: format!("{section}.{key} (ceiling)"),
-            baseline: ceiling,
+            label: format!("{section}.{key} ({kind})"),
+            baseline: bound,
             current: c,
-            higher_is_better: false,
-            ok: c <= ceiling,
+            higher_is_better,
+            ok: if higher_is_better {
+                c >= bound
+            } else {
+                c <= bound
+            },
         });
     }
     Ok(outcomes)
 }
 
+/// Compares the partitioner timings of two `BENCH_mapping.json` documents
+/// ([`GATED_PARTITIONER_METRICS`]), then applies the
+/// [`PARTITIONER_ABSOLUTE_CEILINGS`] and [`MAPPER_ABSOLUTE_CEILINGS`] to the
+/// current document: a ceilinged timing above its ceiling fails even when
+/// the committed baseline had already regressed.
+pub fn check_mapping(
+    baseline: &str,
+    current: &str,
+    max_regression: f64,
+) -> Result<Vec<CheckOutcome>, String> {
+    let current = parse_doc(current, "current")?;
+    let mut outcomes = check_metrics(
+        &parse_doc(baseline, "baseline")?,
+        &current,
+        max_regression,
+        GATED_PARTITIONER_METRICS,
+        MAPPING_SCALE_GUARDS,
+    )?;
+    outcomes.extend(check_limits(
+        &current,
+        PARTITIONER_ABSOLUTE_CEILINGS,
+        false,
+    )?);
+    outcomes.extend(check_limits(&current, MAPPER_ABSOLUTE_CEILINGS, false)?);
+    Ok(outcomes)
+}
+
 /// Compares the mapping-service metrics of two `BENCH_serve.json` documents
 /// ([`GATED_SERVE_METRICS`]), then applies the [`SERVE_ABSOLUTE_FLOORS`]
-/// to the current document: a floored metric that is present but below its
-/// floor fails even when the committed baseline had already regressed.
+/// to the current document: a floored metric below its floor fails even
+/// when the committed baseline had already regressed.
 pub fn check_serve(
     baseline: &str,
     current: &str,
     max_regression: f64,
 ) -> Result<Vec<CheckOutcome>, String> {
+    let current = parse_doc(current, "current")?;
     let mut outcomes = check_metrics(
-        baseline,
-        current,
+        &parse_doc(baseline, "baseline")?,
+        &current,
         max_regression,
         GATED_SERVE_METRICS,
         SERVE_SCALE_GUARDS,
     )?;
-    for &(section, key, floor) in SERVE_ABSOLUTE_FLOORS {
-        let Some(c) = extract_number(current, section, key) else {
-            continue;
-        };
-        outcomes.push(CheckOutcome {
-            label: format!("{section}.{key} (floor)"),
-            baseline: floor,
-            current: c,
-            higher_is_better: true,
-            ok: c >= floor,
-        });
-    }
+    outcomes.extend(check_limits(&current, SERVE_ABSOLUTE_FLOORS, true)?);
     Ok(outcomes)
 }
 
@@ -439,38 +471,148 @@ mod tests {
   }
 }"#;
 
-    #[test]
-    fn extract_number_finds_section_scoped_keys() {
-        assert_eq!(
-            extract_number(DOC, "partitioner", "processes"),
-            Some(4800.0)
-        );
-        assert_eq!(extract_number(DOC, "partitioner", "parallel_s"), Some(0.04));
-        assert_eq!(
-            extract_number(DOC, "partitioner_large", "single_core_s"),
-            Some(1.8)
-        );
-        assert_eq!(
-            extract_number(DOC, "partitioner_xl", "single_core_s"),
-            Some(8.5)
-        );
-        assert_eq!(extract_number(DOC, "partitioner", "missing"), None);
-        assert_eq!(extract_number(DOC, "absent_section", "processes"), None);
-        // a key that only exists in a *later* section must not leak in
-        assert_eq!(extract_number(DOC, "partitioner", "single_core_s"), None);
-        // a section holding null (quick runs) yields no values
-        let quick = DOC.replace(
+    fn parsed(text: &str) -> Value {
+        Value::parse(text).unwrap()
+    }
+
+    /// `DOC` with the `partitioner_large` section replaced by `null`, the way
+    /// `--quick` documents record it.
+    fn with_null_large(doc: &str) -> String {
+        doc.replace(
             "{\n    \"processes\": 100000,\n    \"parts\": 1000,\n    \"single_core_s\": 1.8\n  }",
             "null",
+        )
+    }
+
+    #[test]
+    fn metric_finds_section_scoped_keys() {
+        let doc = parsed(DOC);
+        assert_eq!(metric(&doc, "partitioner", "processes"), Ok(Some(4800.0)));
+        assert_eq!(metric(&doc, "partitioner", "parallel_s"), Ok(Some(0.04)));
+        assert_eq!(
+            metric(&doc, "partitioner_large", "single_core_s"),
+            Ok(Some(1.8))
         );
         assert_eq!(
-            extract_number(&quick, "partitioner_large", "processes"),
-            None
+            metric(&doc, "partitioner_xl", "single_core_s"),
+            Ok(Some(8.5))
         );
-        assert_eq!(
-            extract_number(&quick, "partitioner", "processes"),
-            Some(4800.0)
+    }
+
+    #[test]
+    fn metric_sees_past_nested_containers() {
+        // the gated key follows an array of objects inside the section
+        let doc = parsed(
+            r#"{"instantiation": {"timings": [{"algorithm": "Hyperplane", "n": 3}, []],
+                "nested": {"processes": 1}, "processes": 4800}}"#,
         );
+        assert_eq!(metric(&doc, "instantiation", "processes"), Ok(Some(4800.0)));
+    }
+
+    #[test]
+    fn metric_missing_key_in_present_section_is_an_error() {
+        let err = metric(&parsed(DOC), "partitioner", "missing").unwrap_err();
+        assert!(err.contains("partitioner.missing"), "{err}");
+    }
+
+    #[test]
+    fn metric_absent_section_is_an_error() {
+        let err = metric(&parsed(DOC), "absent_section", "processes").unwrap_err();
+        assert!(err.contains("absent_section.processes"), "{err}");
+    }
+
+    #[test]
+    fn metric_non_number_is_an_error() {
+        let err = metric(&parsed(r#"{"s": {"k": "fast"}}"#), "s", "k").unwrap_err();
+        assert!(err.contains("s.k"), "{err}");
+        let err = metric(&parsed(r#"{"s": 3}"#), "s", "k").unwrap_err();
+        assert!(err.contains("s.k"), "{err}");
+    }
+
+    #[test]
+    fn metric_null_section_is_skipped() {
+        let quick = parsed(&with_null_large(DOC));
+        assert_eq!(metric(&quick, "partitioner_large", "processes"), Ok(None));
+        assert_eq!(metric(&quick, "partitioner", "processes"), Ok(Some(4800.0)));
+    }
+
+    #[test]
+    fn metric_keys_do_not_leak_from_later_sections() {
+        // single_core_s only exists in the partitioner_large/xl sections
+        let err = metric(&parsed(DOC), "partitioner", "single_core_s").unwrap_err();
+        assert!(err.contains("partitioner.single_core_s"), "{err}");
+    }
+
+    #[test]
+    fn missing_gated_key_fails_the_check_and_names_it() {
+        let missing = DOC.replace("\"sequential_s\": 0.05", "\"renamed_s\": 0.05");
+        for (baseline, current, which) in
+            [(DOC, &*missing, "current"), (&*missing, DOC, "baseline")]
+        {
+            let err = check_mapping(baseline, current, 0.25).unwrap_err();
+            assert!(err.contains("partitioner.sequential_s"), "{err}");
+            assert!(err.contains(which), "{err}");
+        }
+        // a missing ceiling key fails as well
+        let missing = DOC.replace("\"kdtree_median_s\"", "\"kdtree_s\"");
+        let err = check_mapping(DOC, &missing, 0.25).unwrap_err();
+        assert!(err.contains("instantiation_xl.kdtree_median_s"), "{err}");
+        // … and so does a missing scale guard
+        let missing = DOC.replace("\"processes\": 100000", "\"procs\": 100000");
+        let err = check_mapping(DOC, &missing, 0.25).unwrap_err();
+        assert!(err.contains("partitioner_large.processes"), "{err}");
+    }
+
+    #[test]
+    fn committed_baselines_carry_every_gated_label() {
+        // the committed documents must stay readable by their own gates;
+        // whether they *pass* them is the perf job's business
+        let mapping = check_mapping(
+            include_str!("../../../BENCH_mapping.json"),
+            include_str!("../../../BENCH_mapping.json"),
+            0.25,
+        )
+        .unwrap();
+        let serve = check_serve(
+            include_str!("../../../BENCH_serve.json"),
+            include_str!("../../../BENCH_serve.json"),
+            0.4,
+        )
+        .unwrap();
+        let labels: Vec<&str> = mapping
+            .iter()
+            .chain(&serve)
+            .map(|o| o.label.as_str())
+            .collect();
+        let gated = GATED_PARTITIONER_METRICS
+            .iter()
+            .chain(GATED_SERVE_METRICS)
+            .map(|m| format!("{}.{}", m.section, m.key));
+        let ceilings = PARTITIONER_ABSOLUTE_CEILINGS
+            .iter()
+            .chain(MAPPER_ABSOLUTE_CEILINGS)
+            .map(|(s, k, _)| format!("{s}.{k} (ceiling)"));
+        let floors = SERVE_ABSOLUTE_FLOORS
+            .iter()
+            .map(|(s, k, _)| format!("{s}.{k} (floor)"));
+        for label in gated.chain(ceilings).chain(floors) {
+            assert!(labels.contains(&label.as_str()), "{label} not checked");
+        }
+        // the scale guards resolve to numbers in both documents
+        let mapping = parsed(include_str!("../../../BENCH_mapping.json"));
+        for &(section, key) in MAPPING_SCALE_GUARDS {
+            assert!(
+                matches!(metric(&mapping, section, key), Ok(Some(_))),
+                "{section}.{key}"
+            );
+        }
+        let serve = parsed(include_str!("../../../BENCH_serve.json"));
+        for &(section, key) in SERVE_SCALE_GUARDS {
+            assert!(
+                matches!(metric(&serve, section, key), Ok(Some(_))),
+                "{section}.{key}"
+            );
+        }
     }
 
     #[test]
@@ -512,15 +654,30 @@ mod tests {
     }
 
     #[test]
-    fn quick_baselines_without_large_section_still_compare() {
-        let quick = DOC
-            .replace("single_core_s", "omitted")
-            .replace("_median_s", "_omitted");
+    fn quick_documents_skip_null_sections() {
+        // a --quick document records the sections it did not measure as
+        // null: their gates, guards and ceilings are skipped
+        let quick = with_null_large(DOC)
+            .replace(
+                "\"partitioner_xl\": {\n    \"processes\": 1000000,\n    \"parts\": 10000,\n    \"single_core_s\": 8.5\n  }",
+                "\"partitioner_xl\": null",
+            );
+        assert!(quick.contains("\"partitioner_large\": null,\n  \"partitioner_xl\": null"));
+        for (baseline, current) in [(DOC, &*quick), (&*quick, DOC)] {
+            let outcomes = check_mapping(baseline, current, 0.25).unwrap();
+            let relative: Vec<&str> = outcomes
+                .iter()
+                .filter(|o| !o.label.ends_with("(ceiling)"))
+                .map(|o| o.label.as_str())
+                .collect();
+            assert_eq!(
+                relative,
+                ["partitioner.parallel_s", "partitioner.sequential_s"]
+            );
+        }
+        // the ceilings apply to the current document only
         let outcomes = check_mapping(DOC, &quick, 0.25).unwrap();
-        // the two small-instance relative gates survive; the ceilings are
-        // skipped because the current document carries no ceilinged timing
-        assert_eq!(outcomes.len(), 2);
-        assert!(!outcomes.iter().any(|o| o.label.contains("ceiling")));
+        assert_eq!(outcomes.len(), 2 + MAPPER_ABSOLUTE_CEILINGS.len());
     }
 
     #[test]
@@ -637,15 +794,15 @@ mod tests {
         // at the committed baseline's level the floors pass
         let outcomes = check_serve(SERVE_DOC, SERVE_DOC, 0.25).unwrap();
         assert!(outcomes.iter().all(|o| o.ok));
-        // a baseline without the routed sections skips the floors cleanly
+        // a document without the routed sections is an error naming the
+        // missing gate: a floor never passes by not finding its metric
         // (note "routed_hit" is not a substring of "routed_replica_hit";
         // both renames are needed)
         let legacy = SERVE_DOC
             .replace("routed_hit", "routed_hit_absent")
             .replace("routed_replica_hit", "routed_replica_hit_absent");
-        let outcomes = check_serve(&legacy, &legacy, 0.25).unwrap();
-        assert!(outcomes.iter().all(|o| o.ok));
-        assert!(!outcomes.iter().any(|o| o.label.contains("floor")));
+        let err = check_serve(&legacy, &legacy, 0.25).unwrap_err();
+        assert!(err.contains("routed_hit."), "{err}");
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Minimal JSON value model with a parser and a *compact* (single line)
-//! writer, sized for the newline-delimited wire protocol.
+//! Minimal JSON value model with a parser, a *compact* (single line) writer
+//! sized for the newline-delimited wire protocol, and a pretty printer for
+//! report files.
 //!
 //! The build environment is offline, so `serde_json` is unavailable; the
 //! service instead parses requests into this small [`Value`] enum and writes
-//! responses with [`Value::compact`].  Only the shapes the protocol uses are
-//! supported: objects, arrays, strings, finite numbers, booleans and null.
-//! Unlike `stencil_bench::report::json` (a pretty-printing *emitter* for
-//! report files), this module must also read, and must emit one-line
-//! documents so that one response occupies exactly one line.
+//! responses with [`Value::compact`], so one response occupies exactly one
+//! line.  The bench harness builds its report documents (`BENCH_*.json`,
+//! figure dumps) from the same enum and writes them with [`Value::pretty`];
+//! `perf_check` reads them back with [`Value::parse`].  Only objects,
+//! arrays, strings, finite numbers, booleans and null are supported.
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,6 +165,52 @@ impl Value {
                 }
                 out.push('}');
             }
+        }
+    }
+
+    /// Pretty-prints the value with two-space indentation (`[]`/`{}` for
+    /// empty containers).  Scalars use the same writers as
+    /// [`Value::compact`], so the two forms differ only in whitespace.  This
+    /// is the format of the report files (`BENCH_*.json`, figure dumps).
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, indent: usize) {
+        fn newline(out: &mut String, indent: usize) {
+            out.push('\n');
+            out.push_str(&"  ".repeat(indent));
+        }
+        match self {
+            Value::Arr(items) if !items.is_empty() => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, indent + 1);
+                    item.write_pretty(out, indent + 1);
+                }
+                newline(out, indent);
+                out.push(']');
+            }
+            Value::Obj(fields) if !fields.is_empty() => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, indent + 1);
+                    write_string(out, k);
+                    out.push_str(": ");
+                    v.write_pretty(out, indent + 1);
+                }
+                newline(out, indent);
+                out.push('}');
+            }
+            scalar_or_empty => scalar_or_empty.write_into(out),
         }
     }
 }
@@ -925,6 +972,98 @@ mod tests {
             write_string(&mut direct, s);
             assert_eq!(direct, Value::str(s).compact(), "str {s:?}");
         }
+    }
+
+    #[test]
+    fn pretty_prints_and_escapes() {
+        let doc = Value::obj(vec![
+            ("name", Value::str("a\"b")),
+            ("n", Value::Num(3.0)),
+            (
+                "xs",
+                Value::Arr(vec![Value::Num(1.5), Value::Bool(true), Value::Null]),
+            ),
+            ("empty", Value::Arr(vec![])),
+        ]);
+        let text = doc.pretty();
+        assert!(text.contains("\"name\": \"a\\\"b\""));
+        assert!(text.contains("\"n\": 3"));
+        assert!(text.contains("1.5"));
+        assert!(text.contains("\"empty\": []"));
+        assert!(text.starts_with("{\n"));
+        assert!(text.ends_with('}'));
+    }
+
+    #[test]
+    fn pretty_nan_becomes_null() {
+        assert_eq!(Value::Num(f64::NAN).pretty(), "null");
+    }
+
+    #[test]
+    fn pretty_object_keys_are_escaped_like_values() {
+        let doc = Value::Obj(vec![("a\"\n\u{1b}b".to_string(), Value::Num(1.0))]);
+        let text = doc.pretty();
+        assert!(text.contains("\"a\\\"\\n\\u001bb\": 1"), "{text}");
+    }
+
+    /// A report document in the shape `perf_baseline` writes: nested
+    /// objects and arrays, an empty container of each kind, a `null`
+    /// section, integral and fractional numbers.
+    fn report_doc() -> Value {
+        Value::obj(vec![
+            ("schema", Value::str("stencilmap/perf-baseline/v1")),
+            ("quick", Value::Bool(true)),
+            (
+                "instantiation",
+                Value::obj(vec![
+                    (
+                        "timings",
+                        Value::Arr(vec![Value::obj(vec![
+                            ("algorithm", Value::str("Hyperplane")),
+                            ("median_s", Value::Num(0.00125)),
+                            ("n", Value::Num(20.0)),
+                        ])]),
+                    ),
+                    ("processes", Value::Num(4800.0)),
+                ]),
+            ),
+            ("partitioner_large", Value::Null),
+            ("empty_obj", Value::Obj(vec![])),
+            ("empty_arr", Value::Arr(vec![])),
+            ("neg", Value::Num(-2.5e-7)),
+        ])
+    }
+
+    #[test]
+    fn pretty_roundtrips_through_the_parser() {
+        let doc = report_doc();
+        assert_eq!(Value::parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(Value::parse(&doc.compact()).unwrap(), doc);
+    }
+
+    #[test]
+    fn pretty_layout_is_byte_pinned() {
+        // the BENCH_*.json / figure-dump file format: changing a byte here
+        // changes every committed report document
+        let expected = r#"{
+  "schema": "stencilmap/perf-baseline/v1",
+  "quick": true,
+  "instantiation": {
+    "timings": [
+      {
+        "algorithm": "Hyperplane",
+        "median_s": 0.00125,
+        "n": 20
+      }
+    ],
+    "processes": 4800
+  },
+  "partitioner_large": null,
+  "empty_obj": {},
+  "empty_arr": [],
+  "neg": -0.00000025
+}"#;
+        assert_eq!(report_doc().pretty(), expected);
     }
 
     #[test]
