@@ -7,32 +7,28 @@
 //!
 //! The cache is split into independently locked shards; a key is assigned to
 //! a shard by its hash, so concurrent requests for different keys rarely
-//! contend on the same mutex.  Each shard keeps a hash map from key to slot
-//! index plus an intrusive doubly-linked recency list over a slot arena,
-//! giving O(1) lookup, touch and insert without per-entry allocation after
-//! the arena has grown to capacity.
+//! contend on the same mutex.  Each shard keeps one index: a hash map from
+//! key to entry plus an ordered map from `(priority, recency)` to key, so
+//! lookup, touch, insert and eviction are all O(log n) in the shard size.
 //!
-//! Two eviction policies share that structure (see [`EvictionPolicy`]):
+//! The eviction order is Greedy-Dual (GDSF, size/frequency-flattened to
+//! *cost*): each entry carries an integer recompute cost; its priority is
+//! `clock + cost`, refreshed on every hit, and eviction removes the
+//! minimum-priority entry (least recently used among ties), advancing the
+//! shard clock to the evicted priority.  Expensive-to-recompute entries (a
+//! multilevel viem mapping at ~45 ms) therefore outlive floods of cheap ones
+//! (rank-local mappings at ~1 ms) until the clock ages them out.
 //!
-//! * **LRU** (default): evict the recency-list tail, O(1).  This is the
-//!   byte-stable policy every golden transcript is pinned to.
-//! * **GDSF** (Greedy-Dual, size/frequency-flattened to *cost*): each entry
-//!   carries an integer recompute cost; its priority is `clock + cost`,
-//!   refreshed on every hit, and eviction removes the minimum-priority entry
-//!   (least recently used among ties), advancing the shard clock to the
-//!   evicted priority.  Expensive-to-recompute entries (a multilevel viem
-//!   mapping at ~45 ms) therefore outlive floods of cheap ones (rank-local
-//!   mappings at ~1 ms) until the clock ages them out.  With uniform costs
-//!   the priority order collapses to recency order, so GDSF degenerates to
-//!   *exactly* LRU — the property tests pin that equivalence.
+//! LRU (the default, see [`EvictionPolicy`]) is the same order with every
+//! cost forced to 1: priorities then never decrease with recency, so the
+//! minimum is always the least recently used entry — the property tests pin
+//! that equivalence, and every golden transcript is pinned to LRU.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-const NIL: usize = usize::MAX;
 
 /// Which entry a full shard evicts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,180 +53,83 @@ impl EvictionPolicy {
     }
 }
 
-struct Slot<K, V> {
-    key: K,
+struct Entry<V> {
     value: V,
-    /// Recompute cost, set at insert time (GDSF only; 1 under LRU).
+    /// Recompute cost, set at insert time (always 1 under LRU).
     cost: u64,
-    /// Greedy-Dual priority `clock_at_last_use + cost` (unused under LRU).
+    /// Greedy-Dual priority `clock_at_last_use + cost`.
     h: u64,
-    prev: usize,
-    next: usize,
+    /// The shard's recency counter at the entry's last use.
+    seq: u64,
 }
 
 struct Shard<K, V> {
-    map: HashMap<K, usize>,
-    slots: Vec<Slot<K, V>>,
-    free: Vec<usize>,
-    /// Most recently used slot.
-    head: usize,
-    /// Least recently used slot.
-    tail: usize,
+    map: HashMap<K, Entry<V>>,
+    /// Eviction order: the first key is the next victim.
+    order: BTreeMap<(u64, u64), K>,
     capacity: usize,
-    policy: EvictionPolicy,
-    /// GDSF aging clock: the priority of the last evicted entry (monotone).
+    /// Aging clock: the priority of the last evicted entry (monotone).
     clock: u64,
+    /// Recency counter, bumped on every hit, insert and refresh; the entry
+    /// carrying the current value is the most recently used one.
+    seq: u64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> Shard<K, V> {
-    fn new(capacity: usize, policy: EvictionPolicy) -> Self {
+    fn new(capacity: usize) -> Self {
         Shard {
             map: HashMap::with_capacity(capacity.min(1024)),
-            slots: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
+            order: BTreeMap::new(),
             capacity,
-            policy,
             clock: 0,
-        }
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.slots[idx].prev, self.slots[idx].next);
-        if prev != NIL {
-            self.slots[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.slots[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.slots[idx].prev = NIL;
-        self.slots[idx].next = NIL;
-    }
-
-    fn push_front(&mut self, idx: usize) {
-        self.slots[idx].prev = NIL;
-        self.slots[idx].next = self.head;
-        if self.head != NIL {
-            self.slots[self.head].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
+            seq: 0,
         }
     }
 
     fn get(&mut self, key: &K) -> Option<(V, bool)> {
-        let idx = *self.map.get(key)?;
-        let was_mru = self.head == idx;
-        if self.policy == EvictionPolicy::Gdsf {
-            // a hit re-earns the entry its full cost above the current clock
-            self.slots[idx].h = self.clock.saturating_add(self.slots[idx].cost);
-        }
-        self.unlink(idx);
-        self.push_front(idx);
-        Some((self.slots[idx].value.clone(), was_mru))
-    }
-
-    /// The eviction victim for a full shard: the recency tail under LRU, the
-    /// minimum-priority slot under GDSF.  The tail-to-head scan keeps the
-    /// *first* (most tail-ward) slot among equal priorities, so with uniform
-    /// costs — where priorities are non-increasing from head to tail — the
-    /// victim is exactly the LRU tail.
-    fn victim(&self) -> usize {
-        match self.policy {
-            EvictionPolicy::Lru => self.tail,
-            EvictionPolicy::Gdsf => {
-                let mut best = self.tail;
-                let mut idx = self.tail;
-                while idx != NIL {
-                    if self.slots[idx].h < self.slots[best].h {
-                        best = idx;
-                    }
-                    idx = self.slots[idx].prev;
-                }
-                best
-            }
-        }
+        let e = self.map.get_mut(key)?;
+        let was_mru = e.seq == self.seq;
+        // a hit re-earns the entry its full cost above the current clock
+        let k = self.order.remove(&(e.h, e.seq)).expect("entry is indexed");
+        self.seq += 1;
+        e.h = self.clock.saturating_add(e.cost);
+        e.seq = self.seq;
+        self.order.insert((e.h, e.seq), k);
+        Some((e.value.clone(), was_mru))
     }
 
     fn insert(&mut self, key: K, value: V, cost: u64) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&idx) = self.map.get(&key) {
-            self.slots[idx].value = value;
-            self.slots[idx].cost = cost;
-            self.slots[idx].h = self.clock.saturating_add(cost);
-            self.unlink(idx);
-            self.push_front(idx);
-            return;
-        }
-        if self.map.len() == self.capacity {
-            // evict the policy's victim and reuse its slot
-            let victim = self.victim();
-            debug_assert_ne!(victim, NIL);
-            if self.policy == EvictionPolicy::Gdsf {
-                // age the shard: everything cheaper than the victim is gone,
-                // so future entries start from its priority
-                self.clock = self.clock.max(self.slots[victim].h);
-            }
-            self.unlink(victim);
-            self.map.remove(&self.slots[victim].key);
-            self.free.push(victim);
+        if let Some(old) = self.map.remove(&key) {
+            self.order.remove(&(old.h, old.seq));
+        } else if self.map.len() == self.capacity {
+            let ((h, _), victim) = self.order.pop_first().expect("full shard");
+            // age the shard: everything cheaper than the victim is gone, so
+            // future entries start from its priority
+            self.clock = self.clock.max(h);
+            self.map.remove(&victim);
         }
         // priced after any eviction, so the clock advance is reflected
+        self.seq += 1;
         let h = self.clock.saturating_add(cost);
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx] = Slot {
-                    key: key.clone(),
-                    value,
-                    cost,
-                    h,
-                    prev: NIL,
-                    next: NIL,
-                };
-                idx
-            }
-            None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value,
-                    cost,
-                    h,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slots.len() - 1
-            }
+        self.order.insert((h, self.seq), key.clone());
+        let entry = Entry {
+            value,
+            cost,
+            h,
+            seq: self.seq,
         };
-        self.map.insert(key, idx);
-        self.push_front(idx);
-    }
-
-    fn keys_mru_first(&self) -> Vec<K> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut idx = self.head;
-        while idx != NIL {
-            out.push(self.slots[idx].key.clone());
-            idx = self.slots[idx].next;
-        }
-        out
+        self.map.insert(key, entry);
     }
 
     fn entries_lru_first(&self) -> Vec<(K, V)> {
-        let mut out = Vec::with_capacity(self.map.len());
-        let mut idx = self.tail;
-        while idx != NIL {
-            out.push((self.slots[idx].key.clone(), self.slots[idx].value.clone()));
-            idx = self.slots[idx].prev;
-        }
-        out
+        let mut out: Vec<_> = self.map.iter().collect();
+        out.sort_unstable_by_key(|(_, e)| e.seq);
+        out.into_iter()
+            .map(|(k, e)| (k.clone(), e.value.clone()))
+            .collect()
     }
 }
 
@@ -271,17 +170,12 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         let per_shard = capacity.div_ceil(shards);
         ShardedLru {
             shards: (0..shards)
-                .map(|_| Mutex::new(Shard::new(per_shard, policy)))
+                .map(|_| Mutex::new(Shard::new(per_shard)))
                 .collect(),
             policy,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// The eviction policy this cache was built with.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// The shard index a key belongs to (stable for the cache's lifetime;
@@ -353,6 +247,11 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// Under GDSF the cost scales retention (priority `clock + cost`); under
     /// LRU it is ignored, so callers can pass real costs unconditionally.
     pub fn insert_with_cost(&self, key: K, value: V, cost: u64) {
+        // LRU is Greedy-Dual with uniform costs
+        let cost = match self.policy {
+            EvictionPolicy::Lru => 1,
+            EvictionPolicy::Gdsf => cost,
+        };
         let shard = &self.shards[self.shard_of(&key)];
         shard
             .lock()
@@ -385,10 +284,8 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
     /// The keys of one shard, most recently used first (diagnostics; used by
     /// the LRU ordering tests).
     pub fn shard_keys_mru_first(&self, shard: usize) -> Vec<K> {
-        self.shards[shard]
-            .lock()
-            .expect("cache shard poisoned")
-            .keys_mru_first()
+        let entries = self.shard_entries_lru_first(shard);
+        entries.into_iter().rev().map(|(k, _)| k).collect()
     }
 
     /// Number of shards.

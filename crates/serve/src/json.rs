@@ -723,13 +723,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar (input is a &str, so slices at
-                    // char boundaries are valid)
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // copy the whole run up to the next `"` or `\`; both are
+                    // ASCII, so the run ends on a char boundary of the &str
+                    // input and is valid UTF-8 on its own
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|e| e.to_string())?;
+                    out.push_str(run);
                 }
             }
         }
@@ -831,6 +834,19 @@ mod tests {
         let text = v.compact();
         assert!(!text.contains('\n'));
         assert_eq!(Value::parse(&text).unwrap(), v);
+    }
+
+    /// A ~3 MiB string (near the 4 MiB line limit) of ASCII, 2-, 3- and
+    /// 4-byte UTF-8 and escapes round-trips; the parse is linear in length.
+    #[test]
+    fn multi_mebibyte_string_roundtrips() {
+        let v = Value::Str("plain ascii é€𝄞\"\\/\n\t\u{1}".repeat(120_000));
+        let text = v.compact();
+        assert!(text.contains(r#"𝄞\"\\/\n\t\u0001plain"#), "escapes missing");
+        assert_eq!(Value::parse(&text).unwrap(), v);
+        // the escapes the writer never emits parse between runs too
+        let v = Value::parse(r#""a\/b\bc\fd\re\u00e9f""#).unwrap();
+        assert_eq!(v.as_str(), Some("a/b\u{8}c\u{c}d\re\u{e9}f"));
     }
 
     #[test]

@@ -490,16 +490,7 @@ impl MappingService {
                         skipped += 1;
                         continue;
                     }
-                    let entry = Arc::new(entry);
-                    let cost = entry_cost(&key);
-                    if let Some(p) = &self.persist {
-                        let lock = &self.persist_locks[self.cache.shard_of(&key)];
-                        let _guard = lock.lock().expect("persist lock poisoned");
-                        p.record_insert(&key, &entry);
-                        self.cache.insert_with_cost(key, entry, cost);
-                    } else {
-                        self.cache.insert_with_cost(key, entry, cost);
-                    }
+                    self.insert_logged(key, Arc::new(entry));
                     inserted += 1;
                 }
                 let mut fields = Vec::new();
@@ -705,16 +696,23 @@ impl MappingService {
             cost.j_sum,
             cost.j_max,
         ));
-        let cost = entry_cost(&key);
-        if let Some(p) = &self.persist {
-            let lock = &self.persist_locks[self.cache.shard_of(&key)];
-            let _guard = lock.lock().expect("persist lock poisoned");
-            p.record_insert(&key, &entry);
-            self.cache.insert_with_cost(key, Arc::clone(&entry), cost);
-        } else {
-            self.cache.insert_with_cost(key, Arc::clone(&entry), cost);
-        }
+        self.insert_logged(key, Arc::clone(&entry));
         Ok((entry, false))
+    }
+
+    /// Inserts `entry` at its recompute cost and, when persistence is on,
+    /// logs the insert under the shard's persist lock so the log's
+    /// per-shard record order matches the shard's operation order.
+    fn insert_logged(&self, key: CacheKey, entry: Arc<CacheEntry>) {
+        let cost = entry_cost(&key);
+        let _guard = self.persist.as_ref().map(|p| {
+            let guard = self.persist_locks[self.cache.shard_of(&key)]
+                .lock()
+                .expect("persist lock poisoned");
+            p.record_insert(&key, &entry);
+            guard
+        });
+        self.cache.insert_with_cost(key, entry, cost);
     }
 }
 

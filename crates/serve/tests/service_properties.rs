@@ -8,6 +8,8 @@
 //!   per-shard LRU contents and recency order (oracle: the pre-shutdown
 //!   shard dumps),
 //! * LRU eviction ordering under concurrent access (per-shard determinism),
+//! * property tests: GDSF matches the LRU model under uniform costs and a
+//!   linear-scan Greedy-Dual model under unequal costs,
 //! * byte-identical responses across real `RAYON_NUM_THREADS` settings,
 //!   verified via subprocesses like the engine determinism tests.
 
@@ -397,6 +399,78 @@ proptest! {
                 step
             );
         }
+    }
+
+    /// GDSF with unequal costs matches the linear-scan Greedy-Dual model:
+    /// every `get` and the shard's recency order agree after each step of
+    /// an arbitrary get/insert sequence with per-insert costs 1..=5.
+    #[test]
+    fn gdsf_with_unequal_costs_matches_the_greedy_dual_oracle(
+        ops in proptest::collection::vec(0u64..60_000, 1..160),
+        cap in 1usize..6,
+    ) {
+        let cache: ShardedLru<u64, u64> =
+            ShardedLru::with_policy(cap, 1, EvictionPolicy::Gdsf);
+        let mut model = ModelGdsf { cap, clock: 0, entries: Vec::new() };
+        for (step, &encoded) in ops.iter().enumerate() {
+            let key = encoded % 12;
+            let op = (encoded / 12) % 2;
+            let cost = 1 + (encoded / 24) % 5;
+            let val = encoded / 120;
+            if op == 0 {
+                cache.insert_with_cost(key, val, cost);
+                model.insert(key, val, cost);
+            } else {
+                prop_assert_eq!(
+                    cache.get(&key),
+                    model.get(key),
+                    "step {}: GDSF diverged from the Greedy-Dual model",
+                    step
+                );
+            }
+            prop_assert_eq!(
+                cache.shard_keys_mru_first(0),
+                model.entries.iter().map(|e| e.0).collect::<Vec<_>>(),
+                "step {}: recency order diverged",
+                step
+            );
+        }
+    }
+}
+
+/// A sequential model of Greedy-Dual eviction, the oracle for unequal
+/// costs: a recency-ordered `Vec` and a linear scan for the victim with the
+/// smallest priority (least recently used among ties), which advances the
+/// clock to that priority.
+struct ModelGdsf {
+    cap: usize,
+    clock: u64,
+    /// `(key, value, cost, clock_at_last_use + cost)`, most recently used
+    /// first.
+    entries: Vec<(u64, u64, u64, u64)>,
+}
+
+impl ModelGdsf {
+    fn get(&mut self, k: u64) -> Option<u64> {
+        let pos = self.entries.iter().position(|e| e.0 == k)?;
+        let (key, value, cost, _) = self.entries.remove(pos);
+        self.entries
+            .insert(0, (key, value, cost, self.clock + cost));
+        Some(value)
+    }
+    fn insert(&mut self, k: u64, v: u64, cost: u64) {
+        if let Some(pos) = self.entries.iter().position(|e| e.0 == k) {
+            self.entries.remove(pos);
+        } else if self.entries.len() == self.cap {
+            // scanning from the LRU end, min_by_key keeps the first minimum
+            let victim = (0..self.entries.len())
+                .rev()
+                .min_by_key(|&i| self.entries[i].3)
+                .expect("full model");
+            self.clock = self.clock.max(self.entries[victim].3);
+            self.entries.remove(victim);
+        }
+        self.entries.insert(0, (k, v, cost, self.clock + cost));
     }
 }
 
