@@ -10,60 +10,10 @@
 //! The actual message-passing communicator built on top of this lives in the
 //! `mpc-sim` crate; this module is the pure, reusable computation.
 
-use crate::baselines::Blocked;
-use crate::hyperplane::Hyperplane;
-use crate::kdtree::KdTree;
 use crate::metrics::{evaluate, MappingCost};
-use crate::nodecart::Nodecart;
-use crate::problem::{MapError, Mapper, MappingProblem};
-use crate::stencil_strips::StencilStrips;
-use crate::viem::GraphMapper;
-use crate::Mapping;
+use crate::problem::{MapError, MappingProblem};
+use crate::{Algorithm, Mapping};
 use stencil_grid::{CartGraph, Coord, Dims, NodeAllocation, Stencil};
-
-/// Selection of the rank-reordering algorithm used when creating a
-/// [`CartStencilComm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReorderAlgorithm {
-    /// No reordering (blocked mapping) — `reorder = 0` in MPI terms.
-    None,
-    /// The Hyperplane algorithm (Section V-A).
-    Hyperplane,
-    /// The k-d Tree algorithm (Section V-B).
-    KdTree,
-    /// The Stencil Strips algorithm (Section V-C).
-    StencilStrips,
-    /// Gropp's Nodecart algorithm.
-    Nodecart,
-    /// The VieM-style general graph mapper.
-    GraphMapper,
-}
-
-impl ReorderAlgorithm {
-    /// Instantiates the corresponding mapper.
-    pub fn mapper(&self, seed: u64) -> Box<dyn Mapper> {
-        match self {
-            ReorderAlgorithm::None => Box::new(Blocked),
-            ReorderAlgorithm::Hyperplane => Box::new(Hyperplane::default()),
-            ReorderAlgorithm::KdTree => Box::new(KdTree),
-            ReorderAlgorithm::StencilStrips => Box::new(StencilStrips),
-            ReorderAlgorithm::Nodecart => Box::new(Nodecart),
-            ReorderAlgorithm::GraphMapper => Box::new(GraphMapper::with_seed(seed)),
-        }
-    }
-
-    /// All algorithm variants, in the order used by the paper's figures.
-    pub fn all() -> [ReorderAlgorithm; 6] {
-        [
-            ReorderAlgorithm::Hyperplane,
-            ReorderAlgorithm::KdTree,
-            ReorderAlgorithm::StencilStrips,
-            ReorderAlgorithm::Nodecart,
-            ReorderAlgorithm::GraphMapper,
-            ReorderAlgorithm::None,
-        ]
-    }
-}
 
 /// A stencil-aware Cartesian "communicator": the reordered rank layout for a
 /// grid, stencil and node allocation.
@@ -83,14 +33,14 @@ impl CartStencilComm {
     /// * `stencil` — the `k`-neighborhood,
     /// * `alloc` — the node allocation of the "old communicator",
     /// * `reorder` — the reordering algorithm (use
-    ///   [`ReorderAlgorithm::None`] for the MPI `reorder = 0` behaviour),
+    ///   [`Algorithm::Blocked`] for the MPI `reorder = 0` behaviour),
     /// * `seed` — seed for randomised algorithms.
     pub fn create(
         dims: Dims,
         periodic: bool,
         stencil: Stencil,
         alloc: NodeAllocation,
-        reorder: ReorderAlgorithm,
+        reorder: Algorithm,
         seed: u64,
     ) -> Result<Self, MapError> {
         let problem = MappingProblem::with_periodicity(dims, stencil, alloc, periodic)?;
@@ -110,7 +60,7 @@ impl CartStencilComm {
         ndims: usize,
         dims: &[usize],
         periodic: bool,
-        reorder: ReorderAlgorithm,
+        reorder: Algorithm,
         stencil_flat: &[i64],
         alloc: NodeAllocation,
         seed: u64,
@@ -201,7 +151,7 @@ impl CartStencilComm {
 mod tests {
     use super::*;
 
-    fn comm(reorder: ReorderAlgorithm) -> CartStencilComm {
+    fn comm(reorder: Algorithm) -> CartStencilComm {
         CartStencilComm::create(
             Dims::from_slice(&[8, 6]),
             false,
@@ -215,7 +165,7 @@ mod tests {
 
     #[test]
     fn none_reorder_is_identity() {
-        let c = comm(ReorderAlgorithm::None);
+        let c = comm(Algorithm::Blocked);
         assert_eq!(c.algorithm(), "Blocked");
         assert_eq!(c.size(), 48);
         for r in 0..48 {
@@ -226,11 +176,11 @@ mod tests {
 
     #[test]
     fn reordering_improves_cost() {
-        let blocked = comm(ReorderAlgorithm::None).cost();
+        let blocked = comm(Algorithm::Blocked).cost();
         for alg in [
-            ReorderAlgorithm::Hyperplane,
-            ReorderAlgorithm::KdTree,
-            ReorderAlgorithm::StencilStrips,
+            Algorithm::Hyperplane,
+            Algorithm::KdTree,
+            Algorithm::StencilStrips,
         ] {
             let c = comm(alg);
             assert!(c.cost().j_sum <= blocked.j_sum, "{alg:?}");
@@ -243,7 +193,7 @@ mod tests {
 
     #[test]
     fn coordinates_and_neighbors_follow_the_grid() {
-        let c = comm(ReorderAlgorithm::Hyperplane);
+        let c = comm(Algorithm::Hyperplane);
         let coord = c.coords_of_new_rank(13);
         assert_eq!(c.new_rank_at(&coord), 13);
         let neigh = c.neighbors_of_new_rank(13);
@@ -266,7 +216,7 @@ mod tests {
             true,
             Stencil::nearest_neighbor(2),
             NodeAllocation::homogeneous(4, 4),
-            ReorderAlgorithm::KdTree,
+            Algorithm::KdTree,
             0,
         )
         .unwrap();
@@ -284,7 +234,7 @@ mod tests {
             2,
             &[8, 6],
             false,
-            ReorderAlgorithm::StencilStrips,
+            Algorithm::StencilStrips,
             &flat,
             NodeAllocation::homogeneous(4, 12),
             0,
@@ -296,7 +246,7 @@ mod tests {
 
     #[test]
     fn node_of_new_rank_is_consistent_with_mapping() {
-        let c = comm(ReorderAlgorithm::StencilStrips);
+        let c = comm(Algorithm::StencilStrips);
         for new_rank in 0..c.size() {
             let old = c.old_rank_of(new_rank);
             assert_eq!(
@@ -304,11 +254,5 @@ mod tests {
                 c.problem().alloc().node_of_rank(old)
             );
         }
-    }
-
-    #[test]
-    fn all_algorithms_list() {
-        assert_eq!(ReorderAlgorithm::all().len(), 6);
-        assert_eq!(ReorderAlgorithm::KdTree.mapper(0).name(), "k-d Tree");
     }
 }

@@ -37,7 +37,8 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use stencil_serve::json::Value;
-use stencil_serve::router::{Router, BACKEND_UNAVAILABLE, DEFAULT_ROUTE_TIMEOUT};
+use stencil_serve::router::{fnv1a_64, Router, BACKEND_UNAVAILABLE, DEFAULT_ROUTE_TIMEOUT};
+use stencil_serve::{CacheKey, MapRequest};
 
 /// A `stencil-serve` child process plus the address it bound.  Killed on
 /// drop so a failing assertion cannot leak servers.
@@ -276,6 +277,31 @@ proptest! {
                  backends: {} not in {:?}", owner, owners
             );
         }
+    }
+}
+
+/// The placement contract, pinned: the FNV-1a hash of
+/// [`CacheKey::routing_bytes`] for one fixed request per algorithm.  The
+/// encoding embeds the algorithm's wire name, so renaming an algorithm (or
+/// changing any field's encoding) reshuffles every key across a running
+/// fleet; this test fails first.
+#[test]
+fn routing_hashes_are_pinned_per_algorithm() {
+    let pins: [(&str, u64); 6] = [
+        ("hyperplane", 0xad24_ec37_e67d_4606),
+        ("kdtree", 0xe2aa_a22c_abe2_34e9),
+        ("stencil_strips", 0x9b98_b69c_cf1a_256c),
+        ("nodecart", 0x8842_15f8_e5ea_9442),
+        ("viem", 0xe1fc_31ac_31fa_fd02),
+        ("blocked", 0xa860_4cba_ecaa_a861),
+    ];
+    for (name, want) in pins {
+        let line = format!(
+            r#"{{"dims":[8,12],"stencil":"hops","periodic":true,"nodes":8,"algorithm":"{name}","seed":5}}"#
+        );
+        let req = MapRequest::from_value(&Value::parse(&line).unwrap()).unwrap();
+        let got = fnv1a_64(&CacheKey::of_request(&req).routing_bytes());
+        assert_eq!(got, want, "{name}: routing hash moved (got {got:#018x})");
     }
 }
 

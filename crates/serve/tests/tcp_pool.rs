@@ -277,3 +277,52 @@ fn write_timeout_tears_down_a_client_that_stops_reading() {
     BufReader::new(fresh).read_line(&mut reply).unwrap();
     assert!(reply.contains("\"status\":\"ok\""), "{reply}");
 }
+
+/// Sends `lines` one at a time over one connection and returns the
+/// response lines in order.
+fn exchange(addr: std::net::SocketAddr, lines: &[&str]) -> Vec<String> {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    lines
+        .iter()
+        .map(|line| {
+            conn.write_all(format!("{line}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            reply
+        })
+        .collect()
+}
+
+/// With [`ServeOptions::degrade_queue`] at 0 every turn counts as
+/// saturated: a table request is answered cost-only and flagged
+/// `"degraded":true`, while point queries and cost-only requests, which
+/// carry no table to strip, answer byte-identically to a default server.
+#[test]
+fn degrade_queue_strips_tables_over_tcp_and_nothing_else() {
+    let lines = [
+        r#"{"id":1,"dims":[8,6],"nodes":4}"#,
+        r#"{"id":2,"dims":[8,6],"nodes":4,"query":"new_rank_of","ranks":[0,47]}"#,
+        r#"{"id":3,"dims":[8,6],"nodes":4,"want_mapping":false}"#,
+    ];
+    let (_plain_service, plain_addr) = start_server(pool_opts(1));
+    let (_degraded_service, degraded_addr) = start_server(ServeOptions {
+        degrade_queue: 0,
+        ..pool_opts(1)
+    });
+    let plain = exchange(plain_addr, &lines);
+    let degraded = exchange(degraded_addr, &lines);
+
+    let table = Value::parse(plain[0].trim_end()).unwrap();
+    assert!(table.get("nodes").is_some() && table.get("degraded").is_none());
+    let stripped = Value::parse(degraded[0].trim_end()).unwrap();
+    assert_eq!(stripped.get("status").and_then(Value::as_str), Some("ok"));
+    assert_eq!(
+        stripped.get("degraded").and_then(Value::as_bool),
+        Some(true)
+    );
+    assert!(stripped.get("nodes").is_none(), "{}", degraded[0]);
+    assert_eq!(stripped.get("j_sum"), table.get("j_sum"));
+
+    assert_eq!(degraded[1..], plain[1..]);
+}

@@ -6,10 +6,11 @@
 //! repeatedly averages its value with its nearest neighbors using the
 //! reordered `StencilComm::neighbor_alltoall`.  The example demonstrates:
 //!
-//! * the distributed reordering (`MPIX_Cart_stencil_comm` analogue) — every
-//!   rank computes its new coordinate locally,
-//! * that the reordering does not change the numerical result — only *which
-//!   node* owns which part of the domain,
+//! * the distributed reordering (`MPIX_Cart_stencil_comm` analogue) — under
+//!   the paper's algorithms every rank computes its new coordinate locally,
+//!   under Nodecart and the VieM-style mapper rank 0 scatters them,
+//! * that no reordering algorithm changes the numerical result — only
+//!   *which node* owns which part of the domain,
 //! * how much inter-node traffic the reordering removes and what that means
 //!   for the simulated exchange time on the paper's machines.
 //!
@@ -27,7 +28,7 @@ const ITERATIONS: usize = 50;
 
 /// Runs the Jacobi iteration under a given reordering and returns the final
 /// field indexed by grid position (machine-independent result).
-fn run_simulation(reorder: ReorderAlgorithm) -> Vec<f64> {
+fn run_simulation(reorder: Algorithm) -> Vec<f64> {
     let results = Runtime::run(DIMS[0] * DIMS[1], move |mut p| {
         let comm = StencilComm::create(
             &mut p,
@@ -75,12 +76,11 @@ fn main() {
     );
 
     // 1. numerical equivalence under reordering -----------------------------
-    let reference = run_simulation(ReorderAlgorithm::None);
-    for alg in [
-        ReorderAlgorithm::Hyperplane,
-        ReorderAlgorithm::KdTree,
-        ReorderAlgorithm::StencilStrips,
-    ] {
+    let reference = run_simulation(Algorithm::Blocked);
+    for alg in Algorithm::ALL
+        .into_iter()
+        .filter(|&a| a != Algorithm::Blocked)
+    {
         let field = run_simulation(alg);
         let max_diff = reference
             .iter()
